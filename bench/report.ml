@@ -6,48 +6,31 @@
    the micro kernels.  `bench/compare.exe` diffs two such files and flags
    regressions, so every perf PR is judged against a recorded baseline. *)
 
-(* Which way a metric improves: [Up] for quality rates (success,
-   score), [Down] for costs (deviation, losses, torn states).  Written
-   into the report so compare.exe need not guess from the metric name —
-   its substring heuristic survives only as a fallback for reports
-   written before the field existed. *)
-type direction = Up | Down
-
-(* The direction compare.exe's name heuristic would infer, for metrics
-   whose producers predate the explicit field.  Must match
-   [compare.ml]'s [metric_higher_better] markers exactly, so adding the
-   field never flips an old metric's polarity. *)
-let auto_direction name =
-  let up =
-    List.exists
-      (fun marker ->
-        let ln = String.lowercase_ascii name in
-        let lm = String.length marker and n = String.length ln in
-        let rec scan i = i + lm <= n && (String.sub ln i lm = marker || scan (i + 1)) in
-        scan 0)
-      [ "success"; "score"; "found"; "ge_frac" ]
-  in
-  if up then Up else Down
+module Experiment = Pgrid_experiment.Experiment
 
 type wall = {
   name : string;
   reps : int option;  (** repetitions override, if any *)
   seconds : float;  (** wall-clock for the whole target *)
-  values : (string * float * direction) list;
-      (** named metric values, e.g. fig6 cells, with improvement direction *)
+  metrics : Experiment.metric list;
+      (** metric values (e.g. fig6 cells) and micro-kernel timings *)
 }
 
-type micro = {
-  kernel : string;
-  ns_per_run : float;
-  r_square : float option;
-}
+type t = { mutable walls : wall list }
 
-type t = { mutable walls : wall list; mutable micros : micro list }
+let create () = { walls = [] }
+let add t w = t.walls <- w :: t.walls
 
-let create () = { walls = []; micros = [] }
-let add_wall t w = t.walls <- w :: t.walls
-let add_micro t m = t.micros <- m :: t.micros
+let json_of_value = function
+  | Experiment.Value { name; value; direction } ->
+    Some
+      (Json.Obj
+         [
+           ("name", Json.Str name);
+           ("value", Json.Num value);
+           ("direction", Json.Str (match direction with Up -> "up" | Down -> "down"));
+         ])
+  | Experiment.Kernel _ -> None
 
 let json_of_wall w =
   let base =
@@ -57,38 +40,24 @@ let json_of_wall w =
       ("seconds", Json.Num w.seconds);
     ]
   in
-  let values =
-    match w.values with
-    | [] -> []
-    | vs ->
-      [
-        ( "values",
-          Json.Arr
-            (List.map
-               (fun (k, v, d) ->
-                 Json.Obj
-                   [
-                     ("name", Json.Str k);
-                     ("value", Json.Num v);
-                     ("direction", Json.Str (match d with Up -> "up" | Down -> "down"));
-                   ])
-               vs) );
-      ]
-  in
-  Json.Obj (base @ values)
+  match List.filter_map json_of_value w.metrics with
+  | [] -> Json.Obj base
+  | values -> Json.Obj (base @ [ ("values", Json.Arr values) ])
 
-let json_of_micro m =
-  Json.Obj
-    ([
-       ("name", Json.Str m.kernel);
-       ("ns_per_run", Json.Num m.ns_per_run);
-     ]
-    @
-    match m.r_square with
-    | Some r when Float.is_finite r -> [ ("r_square", Json.Num r) ]
-    | _ -> [])
+let json_of_kernel = function
+  | Experiment.Kernel { name; ns_per_run; r_square } ->
+    Some
+      (Json.Obj
+         ([ ("name", Json.Str name); ("ns_per_run", Json.Num ns_per_run) ]
+         @
+         match r_square with
+         | Some r when Float.is_finite r -> [ ("r_square", Json.Num r) ]
+         | _ -> []))
+  | Experiment.Value _ -> None
 
 let write t ~path ~seed =
+  let walls = List.rev t.walls in
+  let micros = List.concat_map (fun w -> List.filter_map json_of_kernel w.metrics) walls in
   let doc =
     Json.Obj
       [
@@ -96,10 +65,10 @@ let write t ~path ~seed =
         ("created_unix", Json.Num (Unix.time ()));
         ("ocaml", Json.Str Sys.ocaml_version);
         ("seed", Json.Num (float_of_int seed));
-        ("targets", Json.Arr (List.rev_map json_of_wall t.walls));
-        ("micro", Json.Arr (List.rev_map json_of_micro t.micros));
+        ("targets", Json.Arr (List.map json_of_wall walls));
+        ("micro", Json.Arr micros);
       ]
   in
   Json.to_file path doc;
   Printf.printf "bench: report written to %s (%d targets, %d micro kernels)\n%!" path
-    (List.length t.walls) (List.length t.micros)
+    (List.length walls) (List.length micros)

@@ -226,20 +226,13 @@ let deliver t ~at key payloads =
     note_key_moved t ~src:prev ~dst:i;
     let n = node t i in
     if Path.matches_key n.Node.path key || budget = 0 then ingest i
-    else begin
-      let len = Path.length n.Node.path in
-      let rec diverge l =
-        if l >= len then None
-        else if Path.bit n.Node.path l <> Key.bit key l then Some l
-        else diverge (l + 1)
-      in
-      match diverge 0 with
+    else
+      match Overlay.divergence_level n.Node.path key with
       | None -> ingest i
       | Some l ->
         (match pick_online_ref t n ~level:l ~excluding:(-1) with
         | None -> ingest i
         | Some r -> hop i r (budget - 1))
-    end
   in
   hop at at t.config.refer_hops
 

@@ -191,6 +191,16 @@ type query_record = { at : float; latency : float; hops : int; success : bool }
 
 let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
   if params.peers < 8 then invalid_arg "Net_engine.run: need at least 8 peers";
+  Option.iter
+    (fun r ->
+      if not (r.req_timeout > 0.) then
+        invalid_arg "Net_engine.run: req_timeout must be positive";
+      if not (r.backoff >= 1.) then invalid_arg "Net_engine.run: backoff must be >= 1";
+      if not (r.jitter >= 0. && r.jitter < 1.) then
+        invalid_arg "Net_engine.run: jitter outside [0, 1)";
+      if r.max_retries < 0 then invalid_arg "Net_engine.run: max_retries must be >= 0";
+      if r.evict_after < 1 then invalid_arg "Net_engine.run: evict_after must be >= 1")
+    params.robust;
   let ph = params.phases in
   let sim = Sim.create () in
   let tel = telemetry in
@@ -428,13 +438,7 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
       if budget = 0 then false
       else begin
         let n = Overlay.node overlay cur in
-        let len = Path.length n.Node.path in
-        let rec diverge l =
-          if l >= len then None
-          else if Path.bit n.Node.path l <> Key.bit key l then Some l
-          else diverge (l + 1)
-        in
-        match diverge 0 with
+        match Overlay.divergence_level n.Node.path key with
         | None -> true (* responsible peer reached *)
         | Some level ->
           let refs = Node.refs_array n ~level in
@@ -491,15 +495,6 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
       query_log :=
         { at = issued_at; latency; hops = !hops; success } :: !query_log
     in
-    let diverge n =
-      let len = Path.length n.Node.path in
-      let rec go l =
-        if l >= len then None
-        else if Path.bit n.Node.path l <> Key.bit key l then Some l
-        else go (l + 1)
-      in
-      go 0
-    in
     let snapshot cur level =
       let refs = Node.refs_array (Overlay.node overlay cur) ~level in
       Rng.shuffle rrng refs;
@@ -508,7 +503,7 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
     let rec route cur budget =
       if budget = 0 then finish false
       else begin
-        match diverge (Overlay.node overlay cur) with
+        match Overlay.divergence_level (Overlay.node overlay cur).Node.path key with
         | None ->
           (* Responsible peer reached; the response flows back. *)
           account ~src:cur ~dst:origin ~bytes:params.header_bytes ~kind:Net.Query ();

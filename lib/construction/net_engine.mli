@@ -180,7 +180,10 @@ type outcome = {
     {!Pgrid_telemetry.Global.get}) observes the whole run with
     simulated-time stamps: engine operations (via {!Engine}), per-kind
     message traffic (via {!Pgrid_simnet.Net}), churn transitions and the
-    query lifecycle (issue / hop / complete, correlated by query id). *)
+    query lifecycle (issue / hop / complete, correlated by query id).
+    Raises [Invalid_argument] on fewer than 8 peers or a [robust] config
+    with [req_timeout <= 0], [backoff < 1], [jitter] outside [\[0, 1)],
+    [max_retries < 0] or [evict_after < 1]. *)
 val run :
   ?telemetry:Pgrid_telemetry.Telemetry.t ->
   Pgrid_prng.Rng.t ->

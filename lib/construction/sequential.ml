@@ -42,13 +42,7 @@ let node st i = Overlay.node st.overlay i
 let route st entry key =
   let rec go cur guard =
     let n = node st cur in
-    let len = Path.length n.Node.path in
-    let rec diverge l =
-      if l >= len then None
-      else if Path.bit n.Node.path l <> Key.bit key l then Some l
-      else diverge (l + 1)
-    in
-    match diverge 0 with
+    match Overlay.divergence_level n.Node.path key with
     | None -> cur
     | Some level when guard > 0 -> (
       match Node.refs_at n ~level with

@@ -109,6 +109,11 @@ let sync_pair t ~a ~b ~budget =
        with Exit -> ());
       Node.add_replica na b;
       Node.add_replica nb a;
+      (* Cached answers for either store are stale now. *)
+      if !copied + !tombstoned > 0 then begin
+        Overlay.notify t (Overlay.Peer_changed a);
+        Overlay.notify t (Overlay.Peer_changed b)
+      end;
       { copied = !copied; tombstoned = !tombstoned }
     end
   end

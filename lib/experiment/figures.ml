@@ -381,19 +381,8 @@ let resilience_run ~peers ~seed severity =
     partition_drops;
   }
 
-let resilience_cache : (int * int, resilience_row list) Hashtbl.t =
-  Hashtbl.create 4
-
-let resilience ?(peers = 128) ?severities ~seed () =
-  match severities with
-  | Some sevs -> List.map (resilience_run ~peers ~seed) sevs
-  | None -> (
-    match Hashtbl.find_opt resilience_cache (peers, seed) with
-    | Some rows -> rows
-    | None ->
-      let rows = List.map (resilience_run ~peers ~seed) [ 0.0; 0.5; 1.0 ] in
-      Hashtbl.add resilience_cache (peers, seed) rows;
-      rows)
+let resilience ?(peers = 128) ?(severities = [ 0.0; 0.5; 1.0 ]) ~seed () =
+  List.map (resilience_run ~peers ~seed) severities
 
 let resilience_table rows =
   let columns =
@@ -868,91 +857,56 @@ type survival = {
   peers : int;
   horizon : float;
   sample_every : float;
-  on : survival_run option;
-  off : survival_run option;
+  on : survival_run;
+  off : survival_run;
 }
 
-let survival_cache :
-    (int * float * float * float * bool * int, survival_run) Hashtbl.t =
-  Hashtbl.create 4
-
-let survival_one ~peers ~horizon ~sample_every ~maint_period ~daemon ~seed =
-  let key = (peers, horizon, sample_every, maint_period, daemon, seed) in
-  match Hashtbl.find_opt survival_cache key with
-  | Some r -> r
-  | None ->
-    let r = survival_run_one ~peers ~horizon ~sample_every ~maint_period ~daemon ~seed in
-    Hashtbl.add survival_cache key r;
-    r
-
 let survival ?(peers = 192) ?(horizon = 7200.) ?(sample_every = 240.)
-    ?(maint_period = 30.) ?(which = `Both) ~seed () =
+    ?(maint_period = 30.) ~seed () =
   if horizon <= 0. then invalid_arg "Figures.survival: horizon must be positive";
   if sample_every <= 0. then
     invalid_arg "Figures.survival: sample_every must be positive";
   let arm daemon =
-    survival_one ~peers ~horizon ~sample_every ~maint_period ~daemon ~seed
+    survival_run_one ~peers ~horizon ~sample_every ~maint_period ~daemon ~seed
   in
-  {
-    peers;
-    horizon;
-    sample_every;
-    on = (match which with `Both | `On -> Some (arm true) | `Off -> None);
-    off = (match which with `Both | `Off -> Some (arm false) | `On -> None);
-  }
+  { peers; horizon; sample_every; on = arm true; off = arm false }
 
 let survival_table s =
   let columns =
     [ "minutes"; "online"; "score on"; "score off"; "success on"; "success off";
       "lost on"; "lost off"; "at-risk on"; "at-risk off" ]
   in
-  let pts r = match r with Some x -> x.points | None -> [] in
-  let cell f = function Some p -> f p | None -> "-" in
-  let rec merge on off acc =
-    match (on, off) with
-    | [], [] -> List.rev acc
-    | _ ->
-      let p = match (on, off) with p :: _, _ | [], p :: _ -> Some p | _ -> None in
-      let t = match p with Some p -> p.t | None -> 0. in
-      let row =
-        [
-          Printf.sprintf "%.0f" (t /. 60.);
-          cell (fun p -> string_of_int p.online) p;
-          cell (fun p -> Table.fmt_float ~decimals:3 p.score) (match on with p :: _ -> Some p | [] -> None);
-          cell (fun p -> Table.fmt_float ~decimals:3 p.score) (match off with p :: _ -> Some p | [] -> None);
-          cell (fun p -> Table.fmt_float ~decimals:1 p.success_pct ^ "%") (match on with p :: _ -> Some p | [] -> None);
-          cell (fun p -> Table.fmt_float ~decimals:1 p.success_pct ^ "%") (match off with p :: _ -> Some p | [] -> None);
-          cell (fun p -> string_of_int p.lost) (match on with p :: _ -> Some p | [] -> None);
-          cell (fun p -> string_of_int p.lost) (match off with p :: _ -> Some p | [] -> None);
-          cell (fun p -> string_of_int p.at_risk) (match on with p :: _ -> Some p | [] -> None);
-          cell (fun p -> string_of_int p.at_risk) (match off with p :: _ -> Some p | [] -> None);
-        ]
-      in
-      merge (match on with _ :: r -> r | [] -> []) (match off with _ :: r -> r | [] -> []) (row :: acc)
+  let row (on : survival_point) (off : survival_point) =
+    let pct p = Table.fmt_float ~decimals:1 p.success_pct ^ "%" in
+    [
+      Printf.sprintf "%.0f" (on.t /. 60.);
+      string_of_int on.online;
+      Table.fmt_float ~decimals:3 on.score;
+      Table.fmt_float ~decimals:3 off.score;
+      pct on;
+      pct off;
+      string_of_int on.lost;
+      string_of_int off.lost;
+      string_of_int on.at_risk;
+      string_of_int off.at_risk;
+    ]
   in
-  (columns, merge (pts s.on) (pts s.off) [])
+  (columns, List.map2 row s.on.points s.off.points)
 
 let survival_summary s =
   let columns = [ "statistic"; "daemon on"; "daemon off" ] in
-  let v f = function Some r -> f r | None -> "-" in
+  let both f = [ f s.on; f s.off ] in
   let rows =
     [
-      [ "min query success"; v (fun r -> Table.fmt_float ~decimals:1 r.min_success_pct ^ "%") s.on;
-        v (fun r -> Table.fmt_float ~decimals:1 r.min_success_pct ^ "%") s.off ];
-      [ "mean health score"; v (fun r -> Table.fmt_float ~decimals:3 r.mean_score) s.on;
-        v (fun r -> Table.fmt_float ~decimals:3 r.mean_score) s.off ];
-      [ "lost keys at end"; v (fun r -> string_of_int r.final_lost) s.on;
-        v (fun r -> string_of_int r.final_lost) s.off ];
-      [ "permanent kills"; v (fun r -> string_of_int r.kills) s.on;
-        v (fun r -> string_of_int r.kills) s.off ];
-      [ "emergency re-replications"; v (fun r -> string_of_int r.rereplications) s.on;
-        v (fun r -> string_of_int r.rereplications) s.off ];
-      [ "anti-entropy exchanges"; v (fun r -> string_of_int r.exchanges) s.on;
-        v (fun r -> string_of_int r.exchanges) s.off ];
-      [ "keys synced"; v (fun r -> string_of_int r.keys_synced) s.on;
-        v (fun r -> string_of_int r.keys_synced) s.off ];
-      [ "keys inserted during run"; v (fun r -> string_of_int r.inserted) s.on;
-        v (fun r -> string_of_int r.inserted) s.off ];
+      "min query success"
+      :: both (fun r -> Table.fmt_float ~decimals:1 r.min_success_pct ^ "%");
+      "mean health score" :: both (fun r -> Table.fmt_float ~decimals:3 r.mean_score);
+      "lost keys at end" :: both (fun r -> string_of_int r.final_lost);
+      "permanent kills" :: both (fun r -> string_of_int r.kills);
+      "emergency re-replications" :: both (fun r -> string_of_int r.rereplications);
+      "anti-entropy exchanges" :: both (fun r -> string_of_int r.exchanges);
+      "keys synced" :: both (fun r -> string_of_int r.keys_synced);
+      "keys inserted during run" :: both (fun r -> string_of_int r.inserted);
     ]
   in
   (columns, rows)
@@ -1129,99 +1083,58 @@ type balance = {
   horizon : float;
   sample_every : float;
   d_max : int;
-  on : balance_run option;
-  off : balance_run option;
+  on : balance_run;
+  off : balance_run;
 }
 
-let balance_cache : (int * float * float * int * bool * int, balance_run) Hashtbl.t =
-  Hashtbl.create 4
-
-let balance_one ~peers ~horizon ~sample_every ~d_max ~balanced ~seed =
-  let key = (peers, horizon, sample_every, d_max, balanced, seed) in
-  match Hashtbl.find_opt balance_cache key with
-  | Some r -> r
-  | None ->
-    let r = balance_run_one ~peers ~horizon ~sample_every ~d_max ~balanced ~seed in
-    Hashtbl.add balance_cache key r;
-    r
-
 let balance ?(peers = 192) ?(horizon = 3600.) ?(sample_every = 180.) ?(d_max = 50)
-    ?(which = `Both) ~seed () =
+    ~seed () =
   if horizon <= 0. then invalid_arg "Figures.balance: horizon must be positive";
   if sample_every <= 0. then
     invalid_arg "Figures.balance: sample_every must be positive";
   if d_max < 1 then invalid_arg "Figures.balance: d_max must be >= 1";
-  let arm balanced = balance_one ~peers ~horizon ~sample_every ~d_max ~balanced ~seed in
-  {
-    peers;
-    horizon;
-    sample_every;
-    d_max;
-    on = (match which with `Both | `On -> Some (arm true) | `Off -> None);
-    off = (match which with `Both | `Off -> Some (arm false) | `On -> None);
-  }
+  let arm balanced = balance_run_one ~peers ~horizon ~sample_every ~d_max ~balanced ~seed in
+  { peers; horizon; sample_every; d_max; on = arm true; off = arm false }
 
 let balance_table b =
   let columns =
     [ "minutes"; "parts on"; "parts off"; "max load on"; "max load off";
       "score on"; "score off"; "success on"; "success off" ]
   in
-  let pts r = match r with Some x -> x.points | None -> [] in
-  let head = function p :: _ -> Some p | [] -> None in
-  let cell f = function Some p -> f p | None -> "-" in
-  let rec merge on off acc =
-    match (on, off) with
-    | [], [] -> List.rev acc
-    | _ ->
-      let t =
-        match (on, off) with p :: _, _ | [], p :: _ -> p.t | _ -> 0.
-      in
-      let row =
-        [
-          Printf.sprintf "%.0f" (t /. 60.);
-          cell (fun p -> string_of_int p.partitions) (head on);
-          cell (fun p -> string_of_int p.partitions) (head off);
-          cell (fun p -> string_of_int p.max_load) (head on);
-          cell (fun p -> string_of_int p.max_load) (head off);
-          cell (fun p -> Table.fmt_float ~decimals:3 p.score) (head on);
-          cell (fun p -> Table.fmt_float ~decimals:3 p.score) (head off);
-          cell (fun p -> Table.fmt_float ~decimals:1 p.success_pct ^ "%") (head on);
-          cell (fun p -> Table.fmt_float ~decimals:1 p.success_pct ^ "%") (head off);
-        ]
-      in
-      merge
-        (match on with _ :: r -> r | [] -> [])
-        (match off with _ :: r -> r | [] -> [])
-        (row :: acc)
+  let row (on : balance_point) (off : balance_point) =
+    let pct p = Table.fmt_float ~decimals:1 p.success_pct ^ "%" in
+    [
+      Printf.sprintf "%.0f" (on.t /. 60.);
+      string_of_int on.partitions;
+      string_of_int off.partitions;
+      string_of_int on.max_load;
+      string_of_int off.max_load;
+      Table.fmt_float ~decimals:3 on.score;
+      Table.fmt_float ~decimals:3 off.score;
+      pct on;
+      pct off;
+    ]
   in
-  (columns, merge (pts b.on) (pts b.off) [])
+  (columns, List.map2 row b.on.points b.off.points)
 
 let balance_summary b =
   let columns = [ "statistic"; "balanced"; "unbalanced" ] in
-  let v f = function Some r -> f r | None -> "-" in
+  let both f = [ f b.on; f b.off ] in
+  let bound = string_of_int (int_of_float (balance_slack *. float_of_int b.d_max)) in
   let rows =
     [
-      [ "final max partition load"; v (fun r -> string_of_int r.final_max_load) b.on;
-        v (fun r -> string_of_int r.final_max_load) b.off ];
-      [ "peak max partition load"; v (fun r -> string_of_int r.peak_max_load) b.on;
-        v (fun r -> string_of_int r.peak_max_load) b.off ];
+      "final max partition load" :: both (fun r -> string_of_int r.final_max_load);
+      "peak max partition load" :: both (fun r -> string_of_int r.peak_max_load);
       [ Printf.sprintf "load bound (slack %.1f x d_max %d)" balance_slack b.d_max;
-        string_of_int (int_of_float (balance_slack *. float_of_int b.d_max));
-        string_of_int (int_of_float (balance_slack *. float_of_int b.d_max)) ];
-      [ "partitions at end"; v (fun r -> string_of_int r.final_partitions) b.on;
-        v (fun r -> string_of_int r.final_partitions) b.off ];
-      [ "runtime splits"; v (fun r -> string_of_int r.splits) b.on;
-        v (fun r -> string_of_int r.splits) b.off ];
-      [ "retractions"; v (fun r -> string_of_int r.retracts) b.on;
-        v (fun r -> string_of_int r.retracts) b.off ];
-      [ "keys moved by balancing"; v (fun r -> string_of_int r.keys_moved) b.on;
-        v (fun r -> string_of_int r.keys_moved) b.off ];
-      [ "min query success"; v (fun r -> Table.fmt_float ~decimals:1 r.min_success_pct ^ "%") b.on;
-        v (fun r -> Table.fmt_float ~decimals:1 r.min_success_pct ^ "%") b.off ];
-      [ "mean health score"; v (fun r -> Table.fmt_float ~decimals:3 r.mean_score) b.on;
-        v (fun r -> Table.fmt_float ~decimals:3 r.mean_score) b.off ];
-      [ "keys inserted during storm"; v (fun r -> string_of_int r.inserted) b.on;
-        v (fun r -> string_of_int r.inserted) b.off ];
+        bound; bound ];
+      "partitions at end" :: both (fun r -> string_of_int r.final_partitions);
+      "runtime splits" :: both (fun r -> string_of_int r.splits);
+      "retractions" :: both (fun r -> string_of_int r.retracts);
+      "keys moved by balancing" :: both (fun r -> string_of_int r.keys_moved);
+      "min query success"
+      :: both (fun r -> Table.fmt_float ~decimals:1 r.min_success_pct ^ "%");
+      "mean health score" :: both (fun r -> Table.fmt_float ~decimals:3 r.mean_score);
+      "keys inserted during storm" :: both (fun r -> string_of_int r.inserted);
     ]
   in
   (columns, rows)
@@ -1429,18 +1342,6 @@ let txn_run_one ~peers ~horizon ~doc_interval ~severity ~seed =
     intents_left = Txn.intent_count mgr;
   }
 
-let txn_cache : (int * float * float * float * int, txn_point) Hashtbl.t =
-  Hashtbl.create 4
-
-let txn_one ~peers ~horizon ~doc_interval ~severity ~seed =
-  let key = (peers, horizon, doc_interval, severity, seed) in
-  match Hashtbl.find_opt txn_cache key with
-  | Some p -> p
-  | None ->
-    let p = txn_run_one ~peers ~horizon ~doc_interval ~severity ~seed in
-    Hashtbl.add txn_cache key p;
-    p
-
 let txn ?(peers = 192) ?(horizon = 3600.) ?(doc_interval = 6.)
     ?(severities = [ 0.; 0.3; 0.6 ]) ~seed () =
   if horizon <= 0. then invalid_arg "Figures.txn: horizon must be positive";
@@ -1452,7 +1353,7 @@ let txn ?(peers = 192) ?(horizon = 3600.) ?(doc_interval = 6.)
     doc_interval;
     points =
       List.map
-        (fun severity -> txn_one ~peers ~horizon ~doc_interval ~severity ~seed)
+        (fun severity -> txn_run_one ~peers ~horizon ~doc_interval ~severity ~seed)
         severities;
   }
 
@@ -1710,76 +1611,43 @@ type overload = {
   horizon : float;
   base_rate : float;
   peak_rate : float;
-  on : overload_run option;
-  off : overload_run option;
+  on : overload_run;
+  off : overload_run;
 }
 
-let overload_cache :
-    (int * float * float * float * bool * int, overload_run) Hashtbl.t =
-  Hashtbl.create 4
-
-let overload_one ~peers ~horizon ~base_rate ~peak_rate ~protected ~seed =
-  let key = (peers, horizon, base_rate, peak_rate, protected, seed) in
-  match Hashtbl.find_opt overload_cache key with
-  | Some r -> r
-  | None ->
-    let r = overload_run_one ~peers ~horizon ~base_rate ~peak_rate ~protected ~seed in
-    Hashtbl.add overload_cache key r;
-    r
-
 let overload ?(peers = 10_000) ?(horizon = 1440.) ?(base_rate = 30.)
-    ?(peak_rate = 300.) ?(which = `Both) ~seed () =
+    ?(peak_rate = 300.) ~seed () =
   if peers < 8 then invalid_arg "Figures.overload: need at least 8 peers";
   if horizon <= 0. then invalid_arg "Figures.overload: horizon must be positive";
   if base_rate <= 0. || peak_rate <= 0. then
     invalid_arg "Figures.overload: rates must be positive";
   let arm protected =
-    overload_one ~peers ~horizon ~base_rate ~peak_rate ~protected ~seed
+    overload_run_one ~peers ~horizon ~base_rate ~peak_rate ~protected ~seed
   in
-  {
-    peers;
-    horizon;
-    base_rate;
-    peak_rate;
-    on = (match which with `Both | `On -> Some (arm true) | `Off -> None);
-    off = (match which with `Both | `Off -> Some (arm false) | `On -> None);
-  }
+  { peers; horizon; base_rate; peak_rate; on = arm true; off = arm false }
 
 let overload_table o =
   let columns =
     [ "minutes"; "offered/s"; "goodput on"; "goodput off"; "shed on"; "shed off";
       "backlog on"; "backlog off" ]
   in
-  let pts r = match r with Some x -> x.points | None -> [] in
-  let head = function p :: _ -> Some p | [] -> None in
-  let tail = function _ :: r -> r | [] -> [] in
-  let cell f = function Some p -> f p | None -> "-" in
-  let rec merge on off acc =
-    match (on, off) with
-    | [], [] -> List.rev acc
-    | _ ->
-      let p = match (on, off) with p :: _, _ | [], p :: _ -> Some p | _ -> None in
-      let t = match p with Some p -> p.t | None -> 0. in
-      let row =
-        [
-          Printf.sprintf "%.0f" (t /. 60.);
-          cell (fun p -> Table.fmt_float ~decimals:1 p.offered) p;
-          cell (fun p -> Table.fmt_float ~decimals:1 p.goodput) (head on);
-          cell (fun p -> Table.fmt_float ~decimals:1 p.goodput) (head off);
-          cell (fun p -> string_of_int p.shed) (head on);
-          cell (fun p -> string_of_int p.shed) (head off);
-          cell (fun p -> string_of_int p.backlog) (head on);
-          cell (fun p -> string_of_int p.backlog) (head off);
-        ]
-      in
-      merge (tail on) (tail off) (row :: acc)
+  let row (on : overload_point) (off : overload_point) =
+    [
+      Printf.sprintf "%.0f" (on.t /. 60.);
+      Table.fmt_float ~decimals:1 on.offered;
+      Table.fmt_float ~decimals:1 on.goodput;
+      Table.fmt_float ~decimals:1 off.goodput;
+      string_of_int on.shed;
+      string_of_int off.shed;
+      string_of_int on.backlog;
+      string_of_int off.backlog;
+    ]
   in
-  (columns, merge (pts o.on) (pts o.off) [])
+  (columns, List.map2 row o.on.points o.off.points)
 
 let overload_summary o =
   let columns = [ "statistic"; "protected"; "unprotected" ] in
-  let v f = function Some r -> f r | None -> "-" in
-  let both f = [ v f o.on; v f o.off ] in
+  let both f = [ f o.on; f o.off ] in
   let rows =
     [
       "pre-ramp goodput/s" :: both (fun r -> Table.fmt_float ~decimals:1 r.pre_goodput);
@@ -2027,48 +1895,21 @@ type partition = {
   sample_every : float;
   heal_at : float;
   bound : float;
-  on : partition_run option;
-  off : partition_run option;
+  on : partition_run;
+  off : partition_run;
 }
 
-let partition_cache :
-    (int * float * float * float * float * float * bool * int, partition_run)
-    Hashtbl.t =
-  Hashtbl.create 4
-
-let partition_one ~peers ~horizon ~sample_every ~start ~stop ~bound ~reconciling
-    ~seed =
-  let key = (peers, horizon, sample_every, start, stop, bound, reconciling, seed) in
-  match Hashtbl.find_opt partition_cache key with
-  | Some r -> r
-  | None ->
-    let r =
-      partition_run_one ~peers ~horizon ~sample_every ~start ~stop ~bound
-        ~reconciling ~seed
-    in
-    Hashtbl.add partition_cache key r;
-    r
-
-let partition ?(peers = 1024) ?(horizon = 14400.) ?(sample_every = 240.)
-    ?(which = `Both) ~seed () =
+let partition ?(peers = 1024) ?(horizon = 14400.) ?(sample_every = 240.) ~seed () =
   if horizon <= 0. then invalid_arg "Figures.partition: horizon must be positive";
   if sample_every <= 0. then
     invalid_arg "Figures.partition: sample_every must be positive";
   let start = 0.25 *. horizon and stop = 0.75 *. horizon in
   let bound = 0.125 *. horizon in
   let arm reconciling =
-    partition_one ~peers ~horizon ~sample_every ~start ~stop ~bound ~reconciling
-      ~seed
+    partition_run_one ~peers ~horizon ~sample_every ~start ~stop ~bound
+      ~reconciling ~seed
   in
-  {
-    peers;
-    horizon;
-    sample_every;
-    heal_at = stop;
-    bound;
-    on = (match which with `Both | `On -> Some (arm true) | `Off -> None);
-    off = (match which with `Both | `Off -> Some (arm false) | `On -> None);
-  }
+  { peers; horizon; sample_every; heal_at = stop; bound; on = arm true; off = arm false }
 
 let partition_table x =
   let columns =
@@ -2076,38 +1917,26 @@ let partition_table x =
       "diverged off"; "lost on"; "lost off"; "tombstones on"; "tombstones off";
       "score on"; "score off" ]
   in
-  let pts r = match r with Some x -> x.points | None -> [] in
-  let head = function p :: _ -> Some p | [] -> None in
-  let tail = function _ :: r -> r | [] -> [] in
-  let cell f = function Some p -> f p | None -> "-" in
-  let rec merge on off acc =
-    match (on, off) with
-    | [], [] -> List.rev acc
-    | _ ->
-      let t = match (on, off) with p :: _, _ | [], p :: _ -> p.t | _ -> 0. in
-      let row =
-        [
-          Printf.sprintf "%.0f" (t /. 60.);
-          cell (fun p -> string_of_int p.resurrected) (head on);
-          cell (fun p -> string_of_int p.resurrected) (head off);
-          cell (fun p -> string_of_int p.diverged) (head on);
-          cell (fun p -> string_of_int p.diverged) (head off);
-          cell (fun p -> string_of_int p.lost) (head on);
-          cell (fun p -> string_of_int p.lost) (head off);
-          cell (fun p -> string_of_int p.tombstones) (head on);
-          cell (fun p -> string_of_int p.tombstones) (head off);
-          cell (fun p -> Table.fmt_float ~decimals:3 p.score) (head on);
-          cell (fun p -> Table.fmt_float ~decimals:3 p.score) (head off);
-        ]
-      in
-      merge (tail on) (tail off) (row :: acc)
+  let row (on : partition_point) (off : partition_point) =
+    [
+      Printf.sprintf "%.0f" (on.t /. 60.);
+      string_of_int on.resurrected;
+      string_of_int off.resurrected;
+      string_of_int on.diverged;
+      string_of_int off.diverged;
+      string_of_int on.lost;
+      string_of_int off.lost;
+      string_of_int on.tombstones;
+      string_of_int off.tombstones;
+      Table.fmt_float ~decimals:3 on.score;
+      Table.fmt_float ~decimals:3 off.score;
+    ]
   in
-  (columns, merge (pts x.on) (pts x.off) [])
+  (columns, List.map2 row x.on.points x.off.points)
 
 let partition_summary x =
   let columns = [ "statistic"; "reconciling"; "baseline" ] in
-  let v f = function Some r -> f r | None -> "-" in
-  let both f = [ v f x.on; v f x.off ] in
+  let both f = [ f x.on; f x.off ] in
   let conv r =
     match r.converged_at with
     | Some s -> Table.fmt_float ~decimals:0 s ^ " s"
@@ -2450,18 +2279,10 @@ let queries_run ~peers ~count ~seed =
   in
   { peers; count; on; off; storm; batch }
 
-let queries_exp_cache : (int * int * int, queries) Hashtbl.t = Hashtbl.create 4
-
 let queries ?(peers = 10_000) ?(count = 1_000_000) ~seed () =
   if peers < 8 then invalid_arg "Figures.queries: need at least 8 peers";
   if count < 1 then invalid_arg "Figures.queries: count must be >= 1";
-  let key = (peers, count, seed) in
-  match Hashtbl.find_opt queries_exp_cache key with
-  | Some q -> q
-  | None ->
-    let q = queries_run ~peers ~count ~seed in
-    Hashtbl.add queries_exp_cache key q;
-    q
+  queries_run ~peers ~count ~seed
 
 let queries_summary q =
   let columns = [ "statistic"; "cache on"; "cache off" ] in

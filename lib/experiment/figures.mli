@@ -99,7 +99,7 @@ type resilience_row = {
     bursty-loss + partition + crash-restart plan (see
     {!Pgrid_simnet.Fault}), scaled by each severity in [severities]
     (default [0; 0.5; 1]).  Severity 0 runs the hardened tracker with no
-    faults.  Memoized per (peers, seed) for the default severities.
+    faults.
     Expected: deviation within 2x the severity-0 row and success >= 80%
     at severity 0.5. *)
 val resilience :
@@ -183,19 +183,17 @@ type survival = {
   peers : int;
   horizon : float;
   sample_every : float;
-  on : survival_run option;
-  off : survival_run option;
+  on : survival_run;
+  off : survival_run;
 }
 
-(** [survival ~seed ()] runs the requested arms (default [`Both]),
-    memoized per parameter tuple.  Defaults: 192 peers, a 7200 s (2 h)
-    horizon sampled every 240 s, a 30 s maintenance period. *)
+(** [survival ~seed ()] runs both arms.  Defaults: 192 peers, a 7200 s
+    (2 h) horizon sampled every 240 s, a 30 s maintenance period. *)
 val survival :
   ?peers:int ->
   ?horizon:float ->
   ?sample_every:float ->
   ?maint_period:float ->
-  ?which:[ `Both | `On | `Off ] ->
   seed:int ->
   unit ->
   survival
@@ -257,19 +255,17 @@ type balance = {
   horizon : float;
   sample_every : float;
   d_max : int;
-  on : balance_run option;
-  off : balance_run option;
+  on : balance_run;
+  off : balance_run;
 }
 
-(** [balance ~seed ()] runs the requested arms (default [`Both]),
-    memoized per parameter tuple.  Defaults: 192 peers, a 3600 s
+(** [balance ~seed ()] runs both arms.  Defaults: 192 peers, a 3600 s
     horizon sampled every 180 s, [d_max = 50]. *)
 val balance :
   ?peers:int ->
   ?horizon:float ->
   ?sample_every:float ->
   ?d_max:int ->
-  ?which:[ `Both | `On | `Off ] ->
   seed:int ->
   unit ->
   balance
@@ -326,9 +322,8 @@ type txn_outcome = {
   points : txn_point list;  (** ascending severity, as requested *)
 }
 
-(** [txn ~seed ()] runs one arm per severity (default [0; 0.3; 0.6]),
-    memoized per parameter tuple.  Defaults: 192 peers, a 3600 s
-    horizon, a document every 6 s. *)
+(** [txn ~seed ()] runs one arm per severity (default [0; 0.3; 0.6]).
+    Defaults: 192 peers, a 3600 s horizon, a document every 6 s. *)
 val txn :
   ?peers:int ->
   ?horizon:float ->
@@ -393,19 +388,18 @@ type overload = {
   horizon : float;
   base_rate : float;
   peak_rate : float;
-  on : overload_run option;  (** protected *)
-  off : overload_run option;  (** unprotected *)
+  on : overload_run;  (** protected *)
+  off : overload_run;  (** unprotected *)
 }
 
-(** [overload ~seed ()] runs the requested arms (default [`Both]),
-    memoized per parameter tuple.  Defaults: 10k peers, a 1440 s run
-    (240 s warm, 480 s storm, 720 s recovery), 30 -> 300 queries/s. *)
+(** [overload ~seed ()] runs both arms.  Defaults: 10k peers, a 1440 s
+    run (240 s warm, 480 s storm, 720 s recovery), 30 -> 300
+    queries/s. *)
 val overload :
   ?peers:int ->
   ?horizon:float ->
   ?base_rate:float ->
   ?peak_rate:float ->
-  ?which:[ `Both | `On | `Off ] ->
   seed:int ->
   unit ->
   overload
@@ -473,19 +467,17 @@ type partition = {
   sample_every : float;
   heal_at : float;  (** the cut spans [[0.25 * horizon, 0.75 * horizon]] *)
   bound : float;  (** committed convergence bound: [0.125 * horizon] *)
-  on : partition_run option;
-  off : partition_run option;
+  on : partition_run;
+  off : partition_run;
 }
 
-(** [partition ~seed ()] runs the requested arms (default [`Both]),
-    memoized per parameter tuple.  Defaults: 1024 peers, a 14400 s
-    (4 h) horizon sampled every 240 s — a 2 h cut healing at t = 3 h,
-    with a 1800 s convergence bound. *)
+(** [partition ~seed ()] runs both arms.  Defaults: 1024 peers, a
+    14400 s (4 h) horizon sampled every 240 s — a 2 h cut healing at
+    t = 3 h, with a 1800 s convergence bound. *)
 val partition :
   ?peers:int ->
   ?horizon:float ->
   ?sample_every:float ->
-  ?which:[ `Both | `On | `Off ] ->
   seed:int ->
   unit ->
   partition
@@ -559,8 +551,7 @@ type queries = {
 }
 
 (** [queries ~seed ()] runs the full bundle (both arms, batch
-    measurement, balance-storm audit), memoized per parameter tuple.
-    Defaults: 10k peers, one million queries.  Construction is followed
+    measurement, balance-storm audit).  Defaults: 10k peers, one million queries.  Construction is followed
     by one global anti-entropy round, so both arms must report identical
     [routed] / [found]. *)
 val queries : ?peers:int -> ?count:int -> seed:int -> unit -> queries

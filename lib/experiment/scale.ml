@@ -2,9 +2,11 @@
    event throughput at growing population sizes.
 
    Two numbers per size, each bracketed by [Gc.quick_stat] so the report
-   also carries allocation totals (minor/promoted words are exact counts
+   also carries allocation totals (minor/promoted words repeat exactly
    for a fixed seed and binary, so they gate regressions even across
-   machines where wall-clock numbers cannot):
+   machines where wall-clock numbers cannot; [Gc.quick_stat] counts them
+   at minor-collection granularity, so a different binary may move them
+   by up to one minor heap):
 
    - construction: [Round.run] over a Uniform workload, reported as
      peers/second, plus the resulting load-balance deviation as a
@@ -35,11 +37,6 @@ type row = {
   sim_minor_words : float;
   sim_promoted_words : float;
 }
-
-let default_sizes = [ 1_000; 10_000; 100_000 ]
-
-(* Overridden by bench/main.ml's --scale-peers flag. *)
-let sizes = ref default_sizes
 
 (* [measure f] is [f ()] plus wall-clock seconds and the minor/promoted
    word deltas it allocated.  The full major collection beforehand keeps
@@ -117,16 +114,9 @@ let run_size ~seed n =
     sim_promoted_words = sim_promoted;
   }
 
-(* One run per invocation: the rows feed both the printed table and the
-   JSON report values, so compute them once. *)
-let cache : row list ref = ref []
+let run ~seed sizes = List.map (run_size ~seed) sizes
 
-let rows ~seed =
-  if !cache = [] then
-    cache := List.map (fun n -> run_size ~seed n) !sizes;
-  !cache
-
-let print ~seed =
+let print rows =
   let f = Table.fmt_float in
   let table_rows =
     List.map
@@ -144,7 +134,7 @@ let print ~seed =
           f ~decimals:0 r.events_per_second;
           f ~decimals:1 (r.sim_minor_words /. 1e6);
         ])
-      (rows ~seed)
+      rows
   in
   Table.print ~title:"construction and event-loop throughput vs population"
     ~columns:
@@ -153,20 +143,3 @@ let print ~seed =
         "minor Mw"; "promoted Mw"; "events"; "events/s"; "sim minor Mw";
       ]
     ~rows:table_rows
-
-(* Flattened metric values for the pgrid-bench/1 report.  Throughput
-   improves up; allocation totals and deviation improve down. *)
-let values ~seed =
-  List.concat_map
-    (fun r ->
-      let v name value dir = (Printf.sprintf "n=%d/%s" r.peers name, value, dir) in
-      [
-        v "peers_per_second" r.peers_per_second Report.Up;
-        v "build_minor_words" r.build_minor_words Report.Down;
-        v "build_promoted_words" r.build_promoted_words Report.Down;
-        v "deviation" r.deviation Report.Down;
-        v "events_per_second" r.events_per_second Report.Up;
-        v "sim_minor_words" r.sim_minor_words Report.Down;
-        v "sim_promoted_words" r.sim_promoted_words Report.Down;
-      ])
-    (rows ~seed)

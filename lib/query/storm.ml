@@ -139,15 +139,6 @@ let record_success t ~origin ~target =
 let record_failure t ~origin ~target =
   Option.iter (fun br -> Breaker.record_failure br ~origin ~target) t.breaker
 
-let diverge node key =
-  let len = Path.length node.Node.path in
-  let rec go l =
-    if l >= len then None
-    else if Path.bit node.Node.path l <> Key.bit key l then Some l
-    else go (l + 1)
-  in
-  go 0
-
 let snapshot t cur ~level =
   let refs = Node.refs_array (Overlay.node t.overlay cur) ~level in
   Rng.shuffle t.rng refs;
@@ -173,7 +164,7 @@ let issue t ~origin ~key =
   let rec route cur budget =
     if budget = 0 then finish false
     else
-      match diverge (Overlay.node t.overlay cur) key with
+      match Overlay.divergence_level (Overlay.node t.overlay cur).Node.path key with
       | None ->
         (* Responsible peer reached; the response flows back. *)
         Net.account ~src:cur ~dst:origin t.net ~bytes:t.cfg.header_bytes

@@ -177,13 +177,11 @@ let test_daemon_defaults_off () =
 
 let test_figures_balance_smoke () =
   let b = Figures.balance ~peers:64 ~horizon:240. ~sample_every:120. ~d_max:50 ~seed:7 () in
-  match ((b : Figures.balance).Figures.on, b.Figures.off) with
-  | Some on, Some off ->
-    checkb "balanced arm sampled" true (on.Figures.points <> []);
-    checkb "unbalanced arm sampled" true (off.Figures.points <> []);
-    checki "unbalanced arm never splits" 0 off.Figures.splits;
-    checkb "both arms track inserts" true (on.Figures.inserted > 0 && off.Figures.inserted > 0)
-  | _ -> Alcotest.fail "balance experiment did not produce both arms"
+  let on = (b : Figures.balance).Figures.on and off = b.Figures.off in
+  checkb "balanced arm sampled" true (on.Figures.points <> []);
+  checkb "unbalanced arm sampled" true (off.Figures.points <> []);
+  checki "unbalanced arm never splits" 0 off.Figures.splits;
+  checkb "both arms track inserts" true (on.Figures.inserted > 0 && off.Figures.inserted > 0)
 
 let suite =
   [

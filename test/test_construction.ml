@@ -279,6 +279,24 @@ let run_net ?(peers = 48) ?(seed = 15) () =
 
 let net_outcome = lazy (run_net ())
 
+let test_net_robust_invalid () =
+  let bad field robust =
+    let params = { (fast_params 48) with Net_engine.robust = Some robust } in
+    match Net_engine.run (Rng.create ~seed:15) params ~spec:Distribution.Uniform with
+    | _ -> Alcotest.failf "accepted bad %s" field
+    | exception Invalid_argument msg ->
+      (* Rejected up front, not deep inside the simulation. *)
+      checkb field true (String.starts_with ~prefix:"Net_engine.run" msg)
+  in
+  let r = Net_engine.default_robust in
+  bad "req_timeout" { r with Net_engine.req_timeout = -1. };
+  bad "req_timeout" { r with Net_engine.req_timeout = 0. };
+  bad "backoff" { r with Net_engine.backoff = 0.5 };
+  bad "jitter" { r with Net_engine.jitter = 1. };
+  bad "jitter" { r with Net_engine.jitter = -0.1 };
+  bad "max_retries" { r with Net_engine.max_retries = -1 };
+  bad "evict_after" { r with Net_engine.evict_after = 0 }
+
 let test_net_queries_succeed () =
   let o = Lazy.force net_outcome in
   let qs = o.Net_engine.query_stats in
@@ -343,6 +361,8 @@ let suite =
     Alcotest.test_case "round handles skew" `Quick test_round_skew_still_works;
     Alcotest.test_case "round interaction scaling" `Quick test_round_interactions_scale;
     Alcotest.test_case "round invalid args" `Quick test_round_invalid;
+    Alcotest.test_case "net engine rejects bad robust config" `Quick
+      test_net_robust_invalid;
     Alcotest.test_case "sequential builds" `Quick test_sequential_builds;
     Alcotest.test_case "sequential preserves data" `Quick test_sequential_no_data_loss;
     Alcotest.test_case "sequential latency growth" `Quick test_sequential_latency_grows_linearly;

@@ -2,6 +2,7 @@
    paper-shaped data (small repetitions for speed). *)
 
 module Figures = Pgrid_experiment.Figures
+module Experiment = Pgrid_experiment.Experiment
 module Series = Pgrid_stats.Series
 
 let checkb = Alcotest.check Alcotest.bool
@@ -78,7 +79,7 @@ let test_survival_smoke () =
   let s =
     Figures.survival ~peers:96 ~horizon:1200. ~sample_every:300. ~seed:5 ()
   in
-  let on = Option.get s.Figures.on and off = Option.get s.Figures.off in
+  let on = s.Figures.on and off = s.Figures.off in
   checki "same sample count" (List.length on.Figures.points)
     (List.length off.Figures.points);
   checki "five samples" 5 (List.length on.Figures.points);
@@ -92,11 +93,12 @@ let test_survival_smoke () =
   checki "one row per sample" 5 (List.length rows);
   let _, srows = Figures.survival_summary s in
   checkb "summary has rows" true (List.length srows >= 6);
-  (* Memoized per parameter tuple. *)
+  (* Deterministic: the same parameters give the same tables. *)
   let s2 =
     Figures.survival ~peers:96 ~horizon:1200. ~sample_every:300. ~seed:5 ()
   in
-  checkb "memoized" true (Option.get s.Figures.on == Option.get s2.Figures.on)
+  checkb "same table" true (Figures.survival_table s2 = (columns, rows));
+  checkb "same summary" true (Figures.survival_summary s2 = Figures.survival_summary s)
 
 let test_overload_smoke () =
   (* A miniature storm: both arms share the identical offered load; the
@@ -105,7 +107,7 @@ let test_overload_smoke () =
     Figures.overload ~peers:128 ~horizon:360. ~base_rate:10. ~peak_rate:120.
       ~seed:6 ()
   in
-  let on = Option.get o.Figures.on and off = Option.get o.Figures.off in
+  let on = o.Figures.on and off = o.Figures.off in
   checkb "arms tagged" true (on.Figures.protected && not off.Figures.protected);
   checki "same window count" (List.length on.Figures.points)
     (List.length off.Figures.points);
@@ -134,12 +136,14 @@ let test_overload_smoke () =
   checki "one row per window" 24 (List.length rows);
   let _, srows = Figures.overload_summary o in
   checkb "summary has rows" true (List.length srows >= 10);
-  (* Memoized per parameter tuple. *)
-  let o2 =
-    Figures.overload ~peers:128 ~horizon:360. ~base_rate:10. ~peak_rate:120.
-      ~seed:6 ()
+  (* Deterministic: the same parameters give the same tables (checked
+     on a shorter storm, which costs a fraction of the one above). *)
+  let short () =
+    Figures.overload ~peers:32 ~horizon:120. ~base_rate:10. ~peak_rate:60. ~seed:6 ()
   in
-  checkb "memoized" true (Option.get o.Figures.on == Option.get o2.Figures.on)
+  let o1 = short () and o2 = short () in
+  checkb "same table" true (Figures.overload_table o1 = Figures.overload_table o2);
+  checkb "same summary" true (Figures.overload_summary o1 = Figures.overload_summary o2)
 
 let test_ablation_sequential () =
   let columns, rows = Figures.ablation_sequential ~sizes:[ 32; 64 ] ~seed:3 () in
@@ -164,6 +168,106 @@ let test_ablation_correction () =
   let _, rows = Figures.ablation_correction ~n:300 ~reps:5 ~seed:3 () in
   checki "six p values" 6 (List.length rows)
 
+(* --- the registry ----------------------------------------------------------- *)
+
+let test_registry_names_unique () =
+  let names = List.map Experiment.name Experiment.all in
+  checki "no duplicate names" (List.length names)
+    (List.length (List.sort_uniq compare names))
+
+let test_registry_covers_bench_targets () =
+  List.iter
+    (fun target ->
+      checkb ("registered: " ^ target) true (Experiment.find target <> None))
+    [
+      "fig3"; "fig4"; "fig5"; "fig6a"; "fig6b"; "fig6c"; "fig6d"; "fig6e"; "fig6f";
+      "fig7"; "fig8"; "fig9"; "table1"; "resilience"; "ablation-seq";
+      "ablation-cost"; "ablation-cor"; "ablation-pht"; "ablation-merge";
+      "ablation-maintain"; "survival"; "balance"; "txn"; "overload"; "queries";
+      "partition"; "scale"; "micro";
+    ]
+
+(* Every gate with a value set it holds on and one that violates it:
+   (gate, [ (metric, passing value, violating value) ]). *)
+let gate_cases =
+  let zero_audit name = (name ^ " == 0", [ (name, 0., 1.) ]) in
+  [
+    ("on/final_lost <= off/final_lost", [ ("on/final_lost", 0., 2.); ("off/final_lost", 1., 1.) ]);
+    ("dominance/ge_frac == 1.0", [ ("dominance/ge_frac", 1., 0.9) ]);
+    ( "on/peak_max_load <= bound/max_load",
+      [ ("on/peak_max_load", 90., 110.); ("bound/max_load", 100., 100.) ] );
+    ( "off/peak_max_load > bound/max_load",
+      [ ("off/peak_max_load", 200., 100.); ("bound/max_load", 100., 100.) ] );
+    ( "on/min_success_pct >= off/min_success_pct",
+      [ ("on/min_success_pct", 99., 90.); ("off/min_success_pct", 95., 95.) ] );
+    zero_audit "on/insert_failures";
+    ("s0.3/commit_pct >= 95.0", [ ("s0.3/commit_pct", 97., 94.) ]);
+    ("on/recovery_ratio >= 0.9", [ ("on/recovery_ratio", 0.95, 0.85) ]);
+    ("on/recovered == 1.0", [ ("on/recovered", 1., 0.) ]);
+    ("off/recovery_ratio < 0.9", [ ("off/recovery_ratio", 0.5, 0.95) ]);
+    ("off/recovered == 0.0", [ ("off/recovered", 0., 1.) ]);
+    ("0.0 < on/shed_ratio < 0.5", [ ("on/shed_ratio", 0.1, 0.) ]);
+    ("0.0 < on/shed_ratio < 0.5", [ ("on/shed_ratio", 0.1, 0.5) ]);
+    zero_audit "off/sheds";
+    ("on/converged == 1.0", [ ("on/converged", 1., 0.) ]);
+    ( "on/converge_seconds <= bound/converge_seconds",
+      [ ("on/converge_seconds", 300., 500.); ("bound/converge_seconds", 450., 450.) ] );
+    zero_audit "on/final_resurrected";
+    zero_audit "on/final_diverged";
+    zero_audit "on/final_lost";
+    ( "off/final_resurrected > 0 or off/final_diverged > 0",
+      [ ("off/final_resurrected", 3., 0.); ("off/final_diverged", 0., 0.) ] );
+    ( "smoke/on/routed == smoke/off/routed",
+      [ ("smoke/on/routed", 100., 100.); ("smoke/off/routed", 100., 99.) ] );
+    ( "smoke/on/found == smoke/off/found",
+      [ ("smoke/on/found", 100., 100.); ("smoke/off/found", 100., 99.) ] );
+    ( "smoke/on/found == smoke/on/issued",
+      [ ("smoke/on/found", 100., 99.); ("smoke/on/issued", 100., 100.) ] );
+    ("smoke/hop_reduction >= 0.3", [ ("smoke/hop_reduction", 0.4, 0.2) ]);
+    ("smoke/speedup > 1.0", [ ("smoke/speedup", 1.5, 1.) ]);
+    ("smoke/on/hit_ratio > 0.0", [ ("smoke/on/hit_ratio", 0.5, 0.) ]);
+    zero_audit "smoke/storm/wrong_responsible";
+    zero_audit "smoke/storm/mismatch";
+    ("smoke/storm/splits > 0", [ ("smoke/storm/splits", 5., 0.) ]);
+    zero_audit "smoke/batch/unresolved";
+  ]
+  @ List.concat_map
+      (fun sev ->
+        List.map
+          (fun audit -> zero_audit (sev ^ "/" ^ audit))
+          [ "torn"; "lost_committed"; "abort_residue"; "intents_left" ])
+      [ "s0.0"; "s0.3"; "s0.6" ]
+
+let test_registry_gates () =
+  let values pick cases =
+    List.map
+      (fun case ->
+        let name, _, _ = case in
+        Experiment.Value { name; value = pick case; direction = Experiment.Up })
+      cases
+  in
+  List.iter
+    (fun e ->
+      List.iter
+        (fun gate ->
+          let cases = List.filter (fun (g, _) -> g = gate) gate_cases in
+          checkb ("gate has cases: " ^ gate) true (cases <> []);
+          List.iter
+            (fun (_, metrics) ->
+              let failing pick =
+                List.mem gate (Experiment.failures e (values pick metrics))
+              in
+              checkb ("holds: " ^ gate) false (failing (fun (_, ok, _) -> ok));
+              checkb ("fails, naming itself: " ^ gate) true
+                (failing (fun (_, _, bad) -> bad)))
+            cases)
+        (Experiment.gates e))
+    Experiment.all;
+  let registered = List.concat_map Experiment.gates Experiment.all in
+  List.iter
+    (fun (g, _) -> checkb ("case names a registered gate: " ^ g) true (List.mem g registered))
+    gate_cases
+
 let suite =
   [
     Alcotest.test_case "fig3 shape" `Quick test_fig3_shape;
@@ -176,4 +280,8 @@ let suite =
     Alcotest.test_case "ablation sequential" `Quick test_ablation_sequential;
     Alcotest.test_case "ablation cost" `Slow test_ablation_cost;
     Alcotest.test_case "ablation correction" `Slow test_ablation_correction;
+    Alcotest.test_case "registry names unique" `Quick test_registry_names_unique;
+    Alcotest.test_case "registry covers bench targets" `Quick
+      test_registry_covers_bench_targets;
+    Alcotest.test_case "registry gates" `Quick test_registry_gates;
   ]

@@ -8,6 +8,7 @@ module Builder = Pgrid_core.Builder
 module Overlay = Pgrid_core.Overlay
 module Node = Pgrid_core.Node
 module Balance = Pgrid_core.Balance
+module Reconcile = Pgrid_core.Reconcile
 module Event = Pgrid_telemetry.Event
 module Query = Pgrid_query.Query
 module Engine = Pgrid_query.Engine
@@ -533,6 +534,59 @@ let test_qcache_observe_events () =
   | Qcache.Hit_result _ -> ()
   | _ -> Alcotest.fail "unrelated event must not invalidate")
 
+(* Reconciliation changes stores behind the caches' back, so it must
+   invalidate them.  [diverge_and_sync] caches an answer for [k] at a
+   non-responsible origin, then makes the cached peer [t] the one
+   replica still holding the old state: [stale_others] rewrites every
+   other responsible peer directly (as writes [t] missed would have).
+   [Reconcile.sync_pair] then brings [t] up to date, and the next
+   cached lookup must see the new state. *)
+let sync_key = Key.of_float 0.4321
+
+let diverge_and_sync ~prepare ~stale_others =
+  let overlay, _ = build 41 in
+  let k = sync_key in
+  let responsible = ref [] and origin = ref None in
+  Overlay.iter overlay (fun n ->
+      if Node.responsible_for n k then responsible := n :: !responsible
+      else if !origin = None then origin := Some n.Node.id);
+  let from = Option.get !origin in
+  List.iter prepare !responsible;
+  let cache = Qcache.create overlay in
+  let first = Engine.lookup ~cache overlay ~from k in
+  let t = Option.get first.Engine.responsible in
+  let others = List.filter (fun n -> n.Node.id <> t) !responsible in
+  List.iter stale_others others;
+  let cached = Engine.lookup ~cache overlay ~from k in
+  checkb "answer served from the result cache" true
+    (cached.Engine.served = Engine.Result_cache);
+  checkb "cached answer unchanged" first.Engine.key_present cached.Engine.key_present;
+  let r = Reconcile.sync_pair overlay ~a:t ~b:(List.hd others).Node.id ~budget:100 in
+  checkb "sync changed the cached peer" true (r.Reconcile.copied + r.Reconcile.tombstoned > 0);
+  (first, Engine.lookup ~cache overlay ~from k)
+
+let test_engine_cache_after_sync_copy () =
+  let first, after =
+    diverge_and_sync ~prepare:ignore ~stale_others:(fun n ->
+        Node.ensure_key n sync_key;
+        Node.insert n sync_key "doc")
+  in
+  checkb "absent before the sync" false first.Engine.key_present;
+  checkb "copied key found after the sync" true after.Engine.key_present
+
+let test_engine_cache_after_sync_tombstone () =
+  let first, after =
+    diverge_and_sync
+      ~prepare:(fun n ->
+        Node.ensure_key n sync_key;
+        Node.insert n sync_key "doc")
+      ~stale_others:(fun n ->
+        Node.remove_key n sync_key;
+        Node.note_delete n sync_key ~version:1 ~stamp:1.)
+  in
+  checkb "present before the sync" true first.Engine.key_present;
+  checkb "tombstoned key absent after the sync" false after.Engine.key_present
+
 let test_engine_stale_fallback () =
   (* A cached target that went offline must cost a stale fallback, never
      return a wrong responsible peer. *)
@@ -652,6 +706,10 @@ let suite =
     Alcotest.test_case "qcache observes events" `Quick test_qcache_observe_events;
     Alcotest.test_case "engine stale fallback" `Quick test_engine_stale_fallback;
     Alcotest.test_case "engine batched lookups" `Quick test_engine_lookup_many;
+    Alcotest.test_case "engine cache after sync copy" `Quick
+      test_engine_cache_after_sync_copy;
+    Alcotest.test_case "engine cache after sync tombstone" `Quick
+      test_engine_cache_after_sync_tombstone;
     QCheck_alcotest.to_alcotest qcheck_conjunctive_merge_equiv;
     QCheck_alcotest.to_alcotest qcheck_cached_agrees_under_balance_storm;
   ]
