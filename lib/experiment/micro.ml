@@ -24,6 +24,42 @@ let run ~seed ~quota_ms =
       "prefix-routing"; "anti-entropy";
     |]
   in
+  (* Peer 0 has learned the answers for [hot], 16 keys of the key
+     space's lower half, so probing them there gives 16 validated result
+     hits.  Peer 1 has learned routes and results for upper-half keys
+     only, so each [hot] probe there scans every learned prefix length
+     and misses.  Like the codec kernel, each run is a batch: a single
+     sub-100 ns call is dominated by call overhead and GC pacing. *)
+  let cache = Pgrid_query.Qcache.create overlay in
+  let responsible key =
+    match (Pgrid_core.Overlay.search overlay ~from:0 key).Pgrid_core.Overlay.responsible with
+    | Some id -> id
+    | None -> failwith "Micro: key unroutable"
+  in
+  let lower key = Pgrid_keyspace.Key.bit key 0 = 0 in
+  let hot =
+    Array.of_list
+      (List.filteri
+         (fun i _ -> i < 16)
+         (List.filter
+            (fun k -> lower k && responsible k > 1)
+            (Array.to_list keys)))
+  in
+  let learn ~at key =
+    let target = responsible key in
+    if target <> at then
+      Pgrid_query.Qcache.learn cache ~at ~key ~target ~present:true ~payloads:[]
+  in
+  Array.iter (learn ~at:0) hot;
+  Array.iter (fun k -> if not (lower k) then learn ~at:1 k) keys;
+  let probe_hot ~at () =
+    Array.iter (fun k -> ignore (Pgrid_query.Qcache.probe cache ~at k)) hot
+  in
+  let rng_ints () =
+    for _ = 1 to 100 do
+      ignore (Pgrid_prng.Rng.int rng 1000)
+    done
+  in
   let sim_burst () =
     let s = Pgrid_simnet.Sim.create () in
     for i = 1 to 1000 do
@@ -46,6 +82,9 @@ let run ~seed ~quota_ms =
         Test.make ~name:"overlay-search"
           (Staged.stage (fun () ->
                ignore (Pgrid_core.Overlay.search overlay ~from:0 probe_key)));
+        Test.make ~name:"qcache-probe-hit" (Staged.stage (probe_hot ~at:0));
+        Test.make ~name:"qcache-probe-miss" (Staged.stage (probe_hot ~at:1));
+        Test.make ~name:"rng-int" (Staged.stage rng_ints);
         Test.make ~name:"sim-1000-events" (Staged.stage sim_burst);
         Test.make ~name:"codec-of-term"
           (* A single ~80ns call is dominated by call overhead and GC

@@ -47,6 +47,22 @@ let key_prefix k n =
   if n < 0 || n > Key.bits then invalid_arg "Path.key_prefix: bad length";
   { bits = Key.to_int k lsr (Key.bits - n); len = n }
 
+let code p = (1 lsl p.len) lor p.bits
+
+let key_prefix_code k n =
+  if n < 0 || n > Key.bits then invalid_arg "Path.key_prefix_code: bad length";
+  (1 lsl n) lor (Key.to_int k lsr (Key.bits - n))
+
+(* Position of the sentinel bit, by binary search over the 62 value bits. *)
+let code_length c =
+  if c < 1 then invalid_arg "Path.code_length: not a path code";
+  let rec go c lo width =
+    if width = 0 then lo
+    else if c lsr width <> 0 then go (c lsr width) (lo + width) (width / 2)
+    else go c lo (width / 2)
+  in
+  go c 0 32
+
 let interval_keys p =
   let shift = Key.bits - p.len in
   (p.bits lsl shift, (p.bits + 1) lsl shift)

@@ -49,6 +49,20 @@ val matches_key : t -> Key.t -> bool
 (** [key_prefix k n] is the partition given by the first [n] bits of [k]. *)
 val key_prefix : Key.t -> int -> t
 
+(** [code p] packs [p] into one non-negative int: a sentinel 1 bit above
+    the path bits, so paths of different lengths get distinct codes
+    ([code root = 1]).  Codes are what int-keyed tables store instead of
+    a [t]. *)
+val code : t -> int
+
+(** [key_prefix_code k n] is [code (key_prefix k n)] without building the
+    path. Requires [0 <= n <= Key.bits]. *)
+val key_prefix_code : Key.t -> int -> int
+
+(** [code_length c] is the length of the path whose {!code} is [c].
+    Requires [c >= 1]. *)
+val code_length : int -> int
+
 (** [interval p] is the dyadic interval ([lo] inclusive, [hi] exclusive)
     covered by [p], as floats; [interval_keys p] the same as keys, where
     [hi] is the exclusive upper bound ([Key.to_int hi] may equal 2^bits,

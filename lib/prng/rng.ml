@@ -1,4 +1,15 @@
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The xoshiro256 state lives in 32 bytes, read and written with the
+   unboxed native-endian int64 accessors: a draw allocates nothing and
+   writes no boxed int64 into the heap.  Words 0/8/16/24 are s0..s3. *)
+type t = Bytes.t
+
+let of_words s0 s1 s2 s3 =
+  let t = Bytes.create 32 in
+  Bytes.set_int64_ne t 0 s0;
+  Bytes.set_int64_ne t 8 s1;
+  Bytes.set_int64_ne t 16 s2;
+  Bytes.set_int64_ne t 24 s3;
+  t
 
 (* splitmix64 step, used only to expand seeds into full xoshiro states. *)
 let splitmix64 state =
@@ -9,62 +20,64 @@ let splitmix64 state =
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let create ~seed =
-  let state = ref (Int64.of_int seed) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  (* xoshiro must not start from the all-zero state; splitmix64 outputs are
-     zero only for one specific input, so perturb defensively. *)
-  if Int64.logor (Int64.logor s0 s1) (Int64.logor s2 s3) = 0L then
-    { s0 = 1L; s1 = 2L; s2 = 3L; s3 = 4L }
-  else { s0; s1; s2; s3 }
+(* Expands [seed] into a full state; xoshiro must not start from the
+   all-zero state, and splitmix64 outputs are zero only for one specific
+   input, so [fallback] stands in for that case. *)
+let expand seed ~fallback =
+  let st = ref seed in
+  let s0 = splitmix64 st in
+  let s1 = splitmix64 st in
+  let s2 = splitmix64 st in
+  let s3 = splitmix64 st in
+  if Int64.logor (Int64.logor s0 s1) (Int64.logor s2 s3) = 0L then fallback ()
+  else of_words s0 s1 s2 s3
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let create ~seed = expand (Int64.of_int seed) ~fallback:(fun () -> of_words 1L 2L 3L 4L)
+let copy = Bytes.copy
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k =
+  Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
+let[@inline] next t =
   let open Int64 in
-  let result = add (rotl (add t.s0 t.s3) 23) t.s0 in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = Bytes.get_int64_ne t 0 in
+  let s1 = Bytes.get_int64_ne t 8 in
+  let s2 = Bytes.get_int64_ne t 16 in
+  let s3 = Bytes.get_int64_ne t 24 in
+  let result = add (rotl (add s0 s3) 23) s0 in
+  let tmp = shift_left s1 17 in
+  let s2 = logxor s2 s0 in
+  let s3 = logxor s3 s1 in
+  let s1 = logxor s1 s2 in
+  let s0 = logxor s0 s3 in
+  Bytes.set_int64_ne t 0 s0;
+  Bytes.set_int64_ne t 8 s1;
+  Bytes.set_int64_ne t 16 (logxor s2 tmp);
+  Bytes.set_int64_ne t 24 (rotl s3 45);
   result
 
-let split t =
-  let state = ref (bits64 t) in
-  let s0 = splitmix64 state in
-  let s1 = splitmix64 state in
-  let s2 = splitmix64 state in
-  let s3 = splitmix64 state in
-  if Int64.logor (Int64.logor s0 s1) (Int64.logor s2 s3) = 0L then
-    { s0 = 5L; s1 = 6L; s2 = 7L; s3 = 8L }
-  else { s0; s1; s2; s3 }
+let bits64 t = next t
 
-let float t =
+let split t = expand (next t) ~fallback:(fun () -> of_words 5L 6L 7L 8L)
+
+(* Inlined so the result stays unboxed at the call site. *)
+let[@inline] float t =
   (* Top 53 bits give a uniform dyadic rational in [0, 1). *)
-  let x = Int64.shift_right_logical (bits64 t) 11 in
-  Int64.to_float x *. 0x1p-53
+  Int64.to_float (Int64.shift_right_logical (next t) 11) *. 0x1p-53
+
+(* Rejection sampling over the smallest covering power of two keeps the
+   draw unbiased for every bound.  Top-level so [int] builds no closure. *)
+let rec mask_of n m = if m >= n - 1 then m else mask_of n ((m lsl 1) lor 1)
+
+let rec draw t n mask =
+  let v = Int64.to_int (Int64.shift_right_logical (next t) 2) land mask in
+  if v < n then v else draw t n mask
 
 let int t n =
   if n <= 0 then invalid_arg "Rng.int: bound must be positive";
-  (* Rejection sampling over the smallest covering power of two keeps the
-     draw unbiased for every bound. *)
-  let rec mask_of m = if m >= n - 1 then m else mask_of ((m lsl 1) lor 1) in
-  let mask = mask_of 1 in
-  let rec draw () =
-    let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 2) land mask in
-    if v < n then v else draw ()
-  in
-  if n = 1 then 0 else draw ()
+  if n = 1 then 0 else draw t n (mask_of n 1)
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 let bernoulli t p = float t < p
 
 let pick t arr =

@@ -5,7 +5,14 @@
     experiment in this repository threads an explicit [t] so that all
     simulations are reproducible from a single seed.  [split] derives an
     independent child stream, which lets per-peer generators be created
-    without correlation between peers. *)
+    without correlation between peers.
+
+    The state is 32 bytes read and written through unboxed int64
+    accessors, so a draw allocates nothing in native code: {!int} and
+    {!bool} return immediates, and {!float} is marked for inlining so its
+    result stays unboxed at the call site (a build that forbids
+    cross-module inlining, such as dune's default [-opaque] profile, boxes
+    that one float).  {!bits64} boxes only its returned [int64]. *)
 
 type t
 

@@ -26,7 +26,22 @@
     and retracts, migrations, structural repairs, reference evictions
     and routed writes invalidate automatically; {!observe} additionally
     maps replayed telemetry events ([Migrate], [Balance_split],
-    [Retract], [Partition_heal], [Ref_evict]) onto the same machinery. *)
+    [Retract], [Partition_heal], [Ref_evict]) onto the same machinery.
+
+    {b Layout.}  Each cache is one {!Lru}: a fixed-layout table of int
+    slots (key, recency links, entry fields) plus an open-addressing
+    index from key to slot.  A route is keyed by the {!Pgrid_keyspace.Path.code}
+    of the responsible peer's path, so probing a prefix length builds no
+    path; a result by the key's raw int.  Peer caches sit in an array
+    indexed by peer id and the per-key write generations in an
+    int-keyed table.  A full slot costs 9 words for a route and 11 for a
+    result (slot ints, the value word, two index cells); with spare
+    slots in partly filled tables an entry averages 10.5-14 words,
+    against 20 for the hash table of boxed records and [Some]-linked
+    entries this replaced.  Hits, misses, stale results and eviction
+    victims follow the recency list alone, never the index's layout, so
+    the layout changed no decision: every seeded counter is what the
+    hash-table version produced. *)
 
 type t
 
@@ -54,13 +69,15 @@ type probe =
   | Miss
 
 (** [probe t ~at key] consults peer [at]'s caches.  Exactly one counter
-    (hit / miss / stale) is charged per call. *)
+    (hit / miss / stale) is charged per call.  Raises [Invalid_argument]
+    unless [0 <= at < Overlay.size]. *)
 val probe : t -> at:int -> Pgrid_keyspace.Key.t -> probe
 
 (** [learn t ~at ~key ~target ~present ~payloads] records a completed
     lookup at peer [at]: a route entry for [target]'s current path and a
     result entry for [key].  A no-op when [at = target] (a responsible
-    peer never needs a shortcut to itself). *)
+    peer never needs a shortcut to itself).  Raises [Invalid_argument]
+    unless [0 <= at < Overlay.size]. *)
 val learn :
   t ->
   at:int ->
@@ -104,3 +121,48 @@ val stats : t -> stats
 
 (** [hit_ratio s] is hits over probes, 0 before any probe. *)
 val hit_ratio : stats -> float
+
+(** The bounded LRU table behind each cache, exposed for tests.
+
+    Keys are non-negative ints.  A slot holds a key, [fields] int fields
+    and one value of type ['a].  [find] and [put] make their key the most
+    recently used; when a [put] of a new key finds the table full, it
+    first evicts the least recently used entry and reuses its slot. *)
+module Lru : sig
+  type 'a t
+
+  (** [create ~fields ~cap fill] is an empty table of at most [cap]
+      entries; [fill] is the value of a slot that holds none.  Raises
+      [Invalid_argument] if [cap < 1] or [fields < 0]. *)
+  val create : fields:int -> cap:int -> 'a -> 'a t
+
+  val length : 'a t -> int
+
+  (** [find t k] is [k]'s slot, or [-1] when absent. *)
+  val find : 'a t -> int -> int
+
+  (** [mem t k] tests presence without touching recency. *)
+  val mem : 'a t -> int -> bool
+
+  (** [put t k] is the slot of [k], inserted if absent.  The slot keeps
+      its previous fields and value (an evicted entry's, after an
+      eviction) until they are set.  Raises [Invalid_argument] if
+      [k < 0]. *)
+  val put : 'a t -> int -> int
+
+  (** [victim t] is the key the last {!put} evicted, or [-1]. *)
+  val victim : 'a t -> int
+
+  val remove : 'a t -> int -> unit
+
+  (** [clear t] drops every entry and releases the grown slot arrays. *)
+  val clear : 'a t -> unit
+
+  (** [field t slot i] is int field [i] of [slot]; raises
+      [Invalid_argument] unless [0 <= i < fields]. *)
+  val field : 'a t -> int -> int -> int
+
+  val set_field : 'a t -> int -> int -> int -> unit
+  val value : 'a t -> int -> 'a
+  val set_value : 'a t -> int -> 'a -> unit
+end

@@ -622,6 +622,140 @@ let test_engine_lookup_many () =
           (Node.responsible_for (Overlay.node overlay t) item.Engine.bkey))
     b.Engine.items
 
+(* Qcache.Lru against a list-based reference LRU: the flat table must make
+   every decision the reference makes — hit or miss, eviction victim and
+   its value, size — after every step of a random operation sequence. *)
+module Model_lru = struct
+  type t = { cap : int; mutable items : (int * int) list (* most recent first *) }
+
+  let create cap = { cap; items = [] }
+  let length t = List.length t.items
+  let mem t k = List.mem_assoc k t.items
+
+  let find t k =
+    match List.assoc_opt k t.items with
+    | None -> None
+    | Some v ->
+      t.items <- (k, v) :: List.remove_assoc k t.items;
+      Some v
+
+  let remove t k = t.items <- List.remove_assoc k t.items
+
+  let put t k v =
+    if mem t k then begin
+      t.items <- (k, v) :: List.remove_assoc k t.items;
+      None
+    end
+    else begin
+      t.items <- (k, v) :: t.items;
+      if length t > t.cap then begin
+        let victim = List.nth t.items t.cap in
+        t.items <- List.filteri (fun i _ -> i < t.cap) t.items;
+        Some victim
+      end
+      else None
+    end
+
+  let clear t = t.items <- []
+end
+
+type lru_op = Put of int * int | Find of int | Mem of int | Remove of int | Clear
+
+let show_lru_op = function
+  | Put (k, v) -> Printf.sprintf "put %d %d" k v
+  | Find k -> Printf.sprintf "find %d" k
+  | Mem k -> Printf.sprintf "mem %d" k
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Clear -> "clear"
+
+(* Mostly caps 1-8 over a small key domain; one case in four takes a cap
+   past the table's initial slot count, so its growth path runs too. *)
+let lru_case =
+  let open QCheck.Gen in
+  let case =
+    frequency [ (3, int_range 1 8); (1, int_range 9 40) ] >>= fun cap ->
+    let key = int_range 0 (cap + (cap / 2) + 3) in
+    let op =
+      frequency
+        [
+          (20, map2 (fun k v -> Put (k, v)) key (int_range 0 999));
+          (10, map (fun k -> Find k) key);
+          (4, map (fun k -> Mem k) key);
+          (5, map (fun k -> Remove k) key);
+          (1, return Clear);
+        ]
+    in
+    pair (return cap) (list_size (int_range 0 200) op)
+  in
+  QCheck.make
+    ~print:(fun (cap, ops) ->
+      Printf.sprintf "cap %d: %s" cap (String.concat "; " (List.map show_lru_op ops)))
+    case
+
+let qcheck_lru_matches_model =
+  QCheck.Test.make ~name:"Qcache.Lru = reference LRU" ~count:300 lru_case
+    (fun (cap, ops) ->
+      let lru = Qcache.Lru.create ~fields:1 ~cap "" in
+      let model = Model_lru.create cap in
+      (* The field and the boxed value carry the same number, so both
+         storage paths are checked against the model. *)
+      let read s =
+        let v = Qcache.Lru.field lru s 0 in
+        if Qcache.Lru.value lru s <> string_of_int v then
+          QCheck.Test.fail_reportf "field %d and value %S disagree" v
+            (Qcache.Lru.value lru s);
+        v
+      in
+      List.iter
+        (fun op ->
+          let agree what a b =
+            if a <> b then QCheck.Test.fail_reportf "%s: %s differs" (show_lru_op op) what
+          in
+          (match op with
+          | Put (k, v) ->
+            let s = Qcache.Lru.put lru k in
+            let victim = Qcache.Lru.victim lru in
+            let evicted = if victim >= 0 then Some (victim, read s) else None in
+            Qcache.Lru.set_field lru s 0 v;
+            Qcache.Lru.set_value lru s (string_of_int v);
+            agree "evicted entry" (Model_lru.put model k v) evicted
+          | Find k ->
+            let s = Qcache.Lru.find lru k in
+            agree "result" (Model_lru.find model k) (if s < 0 then None else Some (read s))
+          | Mem k -> agree "membership" (Model_lru.mem model k) (Qcache.Lru.mem lru k)
+          | Remove k ->
+            Model_lru.remove model k;
+            Qcache.Lru.remove lru k
+          | Clear ->
+            Model_lru.clear model;
+            Qcache.Lru.clear lru);
+          agree "length" (Model_lru.length model) (Qcache.Lru.length lru))
+        ops;
+      true)
+
+(* Peer ids index an array inside the cache, so an id outside the overlay
+   must be rejected at the boundary, not create a cache or read out of
+   bounds. *)
+let test_qcache_rejects_bad_peer () =
+  let overlay, keys = build 34 in
+  let cache = Qcache.create overlay in
+  let k, t = planted_pair overlay keys in
+  let n = Overlay.size overlay in
+  List.iter
+    (fun at ->
+      let rejected f =
+        match f () with
+        | () -> Alcotest.failf "peer %d accepted" at
+        | exception Invalid_argument _ -> ()
+      in
+      rejected (fun () ->
+          Qcache.learn cache ~at ~key:k ~target:t ~present:true ~payloads:[]);
+      rejected (fun () -> ignore (Qcache.probe cache ~at k)))
+    [ -1; n; n + 5; min_int ];
+  let s = Qcache.stats cache in
+  checki "no entry was created" 0 (s.Qcache.route_entries + s.Qcache.result_entries);
+  checki "no probe was counted" 0 (s.Qcache.misses + s.Qcache.route_hits + s.Qcache.result_hits)
+
 (* The tentpole's correctness property: cached lookups agree with plain
    routing on responsibility and key presence before, during and after a
    balance split storm — stale entries may cost hops, never answers. *)
@@ -704,6 +838,7 @@ let suite =
     Alcotest.test_case "qcache invalidation kinds" `Quick
       test_qcache_invalidation_kinds;
     Alcotest.test_case "qcache observes events" `Quick test_qcache_observe_events;
+    Alcotest.test_case "qcache rejects bad peer ids" `Quick test_qcache_rejects_bad_peer;
     Alcotest.test_case "engine stale fallback" `Quick test_engine_stale_fallback;
     Alcotest.test_case "engine batched lookups" `Quick test_engine_lookup_many;
     Alcotest.test_case "engine cache after sync copy" `Quick
@@ -712,4 +847,5 @@ let suite =
       test_engine_cache_after_sync_tombstone;
     QCheck_alcotest.to_alcotest qcheck_conjunctive_merge_equiv;
     QCheck_alcotest.to_alcotest qcheck_cached_agrees_under_balance_storm;
+    QCheck_alcotest.to_alcotest qcheck_lru_matches_model;
   ]
