@@ -3,6 +3,7 @@ module Key = Pgrid_keyspace.Key
 module Path = Pgrid_keyspace.Path
 module Aep_math = Pgrid_partition.Aep_math
 module Node = Pgrid_core.Node
+module Keytbl = Pgrid_core.Keytbl
 module Overlay = Pgrid_core.Overlay
 module Telemetry = Pgrid_telemetry.Telemetry
 module Event = Pgrid_telemetry.Event
@@ -211,6 +212,12 @@ let probabilities t ~p_hat ~samples =
   in
   (probs, flipped)
 
+(* Construction keys carry no payloads; matching the empty list first
+   saves allocating the [List.iter] closure for every key moved. *)
+let insert_payloads n key = function
+  | [] -> ()
+  | payloads -> List.iter (fun p -> Node.insert n key p) payloads
+
 (* Deliver one key (with payloads) starting at peer [at]: ingest when the
    partition matches, else forward along a routing reference toward the
    key.  Every hop moves the key once (bandwidth).  Keys that cannot be
@@ -219,7 +226,7 @@ let deliver t ~at key payloads =
   let ingest i =
     let n = node t i in
     Node.ensure_key n key;
-    List.iter (fun p -> Node.insert n key p) payloads;
+    insert_payloads n key payloads;
     mark_useful t i
   in
   let rec hop prev i budget =
@@ -241,7 +248,7 @@ let deliver t ~at key payloads =
 let hand_over t ~src ~dst =
   let s = node t src in
   let doomed =
-    Hashtbl.fold
+    Keytbl.fold
       (fun k payloads acc ->
         if Path.matches_key s.Node.path k then acc else (k, payloads) :: acc)
       s.Node.store []
@@ -284,7 +291,7 @@ let same_partition t i j =
      0 at this level; no key list is ever materialized or sorted. *)
   let small, big = if d1 <= d2 then (ni, nj) else (nj, ni) in
   let shared = ref 0 and shared_zeros = ref 0 in
-  Hashtbl.iter
+  Keytbl.iter
     (fun k _ ->
       if Node.has_key big k then begin
         incr shared;
@@ -364,11 +371,11 @@ let same_partition t i j =
     let gained = ref false in
     let copy src dst =
       let s = node t src and d = node t dst in
-      Hashtbl.iter
+      Keytbl.iter
         (fun k payloads ->
           let fresh = not (Node.has_key d k) in
           Node.ensure_key d k;
-          List.iter (fun p -> Node.insert d k p) payloads;
+          insert_payloads d k payloads;
           if fresh then begin
             note_key_moved t ~src ~dst;
             (* Only new distinct keys count as progress; payload-level

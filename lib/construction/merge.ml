@@ -3,6 +3,7 @@ module Key = Pgrid_keyspace.Key
 module Path = Pgrid_keyspace.Path
 module Reference = Pgrid_partition.Reference
 module Node = Pgrid_core.Node
+module Keytbl = Pgrid_core.Keytbl
 module Overlay = Pgrid_core.Overlay
 module Deviation = Pgrid_core.Deviation
 
@@ -17,7 +18,7 @@ type outcome = {
 (* Deep-copy node [src] into [dst], shifting peer ids by [offset]. *)
 let copy_into ~offset src dst =
   Node.set_path dst src.Node.path;
-  Hashtbl.iter
+  Keytbl.iter
     (fun k payloads ->
       Node.ensure_key dst k;
       List.iter (Node.insert dst k) payloads)

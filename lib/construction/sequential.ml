@@ -4,6 +4,7 @@ module Path = Pgrid_keyspace.Path
 module Reference = Pgrid_partition.Reference
 module Distribution = Pgrid_workload.Distribution
 module Node = Pgrid_core.Node
+module Keytbl = Pgrid_core.Keytbl
 module Overlay = Pgrid_core.Overlay
 module Deviation = Pgrid_core.Deviation
 
@@ -92,7 +93,7 @@ let join st i =
     ignore (Node.drop_keys_outside ni ni.Node.path);
     let merge src dst =
       let s = node st src and d = node st dst in
-      Hashtbl.iter
+      Keytbl.iter
         (fun k payloads ->
           Node.ensure_key d k;
           List.iter (fun p -> Node.insert d k p) payloads)
@@ -145,7 +146,7 @@ let join st i =
     end;
     (* Insert the joiner's remaining out-of-partition keys by routing. *)
     let outside =
-      Hashtbl.fold
+      Keytbl.fold
         (fun k payloads acc ->
           if Path.matches_key ni.Node.path k then acc else (k, payloads) :: acc)
         ni.Node.store []

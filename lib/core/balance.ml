@@ -75,7 +75,7 @@ let union_stores overlay members =
   let tbl = Hashtbl.create 256 in
   List.iter
     (fun i ->
-      Hashtbl.iter
+      Keytbl.iter
         (fun k payloads ->
           let have = Option.value ~default:[] (Hashtbl.find_opt tbl k) in
           let merged =

@@ -103,7 +103,7 @@ let check ?(keys = [||]) ?(docs = [||]) ?(versions = false) ~n_min overlay =
   let postings = Hashtbl.create 256 in
   let holders = Hashtbl.create 256 in
   Overlay.iter overlay (fun n ->
-      Hashtbl.iter
+      Keytbl.iter
         (fun k payloads ->
           let on, total = Option.value ~default:(0, 0) (Hashtbl.find_opt holders k) in
           Hashtbl.replace holders k ((if n.Node.online then on + 1 else on), total + 1);

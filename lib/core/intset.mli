@@ -33,6 +33,8 @@ val elements : t -> int list
 val to_array : t -> int array
 val of_list : int list -> t
 
-(** [union_into ~into src] adds every member of [src] to [into] with one
-    linear two-pointer merge. *)
+(** [union_into ~into src] adds every member of [src] to [into] in
+    place, in linear time: a union that adds nothing allocates nothing,
+    and the backing array doubles only when it is too short.  [src] may
+    be [into] itself. *)
 val union_into : into:t -> t -> unit

@@ -86,7 +86,7 @@ let adopt overlay ~host_id ~peer =
   Node.reset_refs n ~capacity:(Path.length host.Node.path);
   Node.clear_replicas n;
   Node.set_path n host.Node.path;
-  Hashtbl.iter
+  Keytbl.iter
     (fun k payloads ->
       Node.ensure_key n k;
       List.iter (Node.insert n k) payloads)
@@ -168,7 +168,7 @@ let leave ?(telemetry = Pgrid_telemetry.Global.get ()) rng overlay id =
            [] n.Node.replicas)
     in
     (* Push payload-bearing keys the replicas are missing. *)
-    Hashtbl.iter
+    Keytbl.iter
       (fun k payloads ->
         List.iter
           (fun rid ->
@@ -399,7 +399,7 @@ let donor_partition overlay ~floor ~avoid =
   let tbl = Hashtbl.create 64 in
   for i = Overlay.size overlay - 1 downto 0 do
     let n = node overlay i in
-    if n.Node.online || Hashtbl.length n.Node.store > 0 then begin
+    if n.Node.online || Keytbl.length n.Node.store > 0 then begin
       let key = Path.to_string n.Node.path in
       let online_m, count =
         Option.value ~default:([], 0) (Hashtbl.find_opt tbl key)
@@ -600,7 +600,7 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
               | Some _ -> scan (i + 1) best_online best_off best_off_size
               | None -> scan (i + 1) (Some i) best_off best_off_size
             else begin
-              let size = Hashtbl.length n.Node.store in
+              let size = Keytbl.length n.Node.store in
               if size > best_off_size then scan (i + 1) best_online (Some i) size
               else scan (i + 1) best_online best_off best_off_size
             end
@@ -626,7 +626,7 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
             if
               i <> recruit
               && Path.equal m.Node.path r.Node.path
-              && (m.Node.online || Hashtbl.length m.Node.store > 0)
+              && (m.Node.online || Keytbl.length m.Node.store > 0)
             then collect (i + 1) (i :: acc)
             else collect (i + 1) acc
           end
@@ -635,7 +635,7 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
       in
       (match cfg.reconcile with
       | None ->
-        Hashtbl.iter
+        Keytbl.iter
           (fun k payloads ->
             List.iter
               (fun mid ->
@@ -650,7 +650,7 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
         (* Version-aware handover: a mate holding a tombstone at least
            as new as the recruit's copy keeps its delete; live copies
            carry their version so later syncs can still judge them. *)
-        Hashtbl.iter
+        Keytbl.iter
           (fun k payloads ->
             let km = Node.meta r k in
             let kv = match km with Some mm -> mm.Node.version | None -> 0 in
@@ -734,18 +734,18 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
         let n = node overlay i in
         match !holder with
         | Some _ -> ()
-        | None -> if Hashtbl.mem n.Node.store key then holder := Some i
+        | None -> if Keytbl.mem n.Node.store key then holder := Some i
       done;
       match !holder with
       | None -> ()
       | Some h ->
-        let payloads = Hashtbl.find (node overlay h).Node.store key in
+        let payloads = Keytbl.find (node overlay h).Node.store key in
         for i = 0 to Overlay.size overlay - 1 do
           let n = node overlay i in
           if
             i <> h && n.Node.online
             && Node.responsible_for n key
-            && not (Hashtbl.mem n.Node.store key)
+            && not (Keytbl.mem n.Node.store key)
           then begin
             Node.ensure_key n key;
             List.iter (fun p -> ignore (Node.insert_new n key p)) payloads;
@@ -820,7 +820,7 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
         let n = node overlay i in
         if
           Path.to_string n.Node.path = path_s
-          && (n.Node.online || Hashtbl.length n.Node.store > 0)
+          && (n.Node.online || Keytbl.length n.Node.store > 0)
         then incr c
       done;
       !c

@@ -9,20 +9,24 @@ type t = {
   id : id;
   mutable path : Path.t;
   mutable refs : Intset.t array;
-  store : (Key.t, string list) Hashtbl.t;
-  vers : (Key.t, meta) Hashtbl.t;
+  store : string list Keytbl.t;
+  vers : meta Keytbl.t;
   replicas : Intset.t;
   mutable online : bool;
   mutable zero_keys : int;
 }
+
+(* The sidecar's [empty] value: never stored by the functions below, so
+   a table of real entries always carries its values array. *)
+let no_meta = { version = 0; dead = false; stamp = 0. }
 
 let create ~id =
   {
     id;
     path = Path.root;
     refs = Array.init 8 (fun _ -> Intset.create ());
-    store = Hashtbl.create 32;
-    vers = Hashtbl.create 8;
+    store = Keytbl.create ~empty:[] 32;
+    vers = Keytbl.create ~empty:no_meta 8;
     replicas = Intset.create ();
     online = true;
     zero_keys = 0;
@@ -34,30 +38,30 @@ let create ~id =
    (version 0, alive) — the state of every key written before versioning
    existed. *)
 
-let meta t key = Hashtbl.find_opt t.vers key
+let meta t key = Keytbl.find_opt t.vers key
 
 let note_write t key ~version ~stamp =
-  match Hashtbl.find_opt t.vers key with
+  match Keytbl.find_opt t.vers key with
   | Some m ->
     m.version <- version;
     m.dead <- false;
     m.stamp <- stamp
-  | None -> Hashtbl.replace t.vers key { version; dead = false; stamp }
+  | None -> Keytbl.replace t.vers key { version; dead = false; stamp }
 
 let note_delete t key ~version ~stamp =
-  match Hashtbl.find_opt t.vers key with
+  match Keytbl.find_opt t.vers key with
   | Some m ->
     m.version <- version;
     m.dead <- true;
     m.stamp <- stamp
-  | None -> Hashtbl.replace t.vers key { version; dead = true; stamp }
+  | None -> Keytbl.replace t.vers key { version; dead = true; stamp }
 
-let drop_meta t key = Hashtbl.remove t.vers key
+let drop_meta t key = Keytbl.remove t.vers key
 
-let meta_fold t f acc = Hashtbl.fold f t.vers acc
+let meta_fold t f acc = Keytbl.fold f t.vers acc
 
 let tombstone_count t =
-  Hashtbl.fold (fun _ m acc -> if m.dead then acc + 1 else acc) t.vers 0
+  Keytbl.fold (fun _ m acc -> if m.dead then acc + 1 else acc) t.vers 0
 
 (* zero_keys counts the distinct stored keys whose bit at the node's
    current path level is 0; every store mutation below keeps it exact so
@@ -97,16 +101,16 @@ let rec posting_remove p = function
     else Option.map (fun r -> q :: r) (posting_remove p rest)
 
 let insert_new t key payload =
-  match Hashtbl.find_opt t.store key with
+  match Keytbl.find_opt t.store key with
   | None ->
-    Hashtbl.replace t.store key [ payload ];
+    Keytbl.replace t.store key [ payload ];
     note_added t key;
     true
   | Some existing -> (
     match posting_add payload existing with
     | None -> false
     | Some updated ->
-      Hashtbl.replace t.store key updated;
+      Keytbl.replace t.store key updated;
       true)
 
 let insert t key payload = ignore (insert_new t key payload)
@@ -116,38 +120,37 @@ let insert t key payload = ignore (insert_new t key payload)
    so presence of the key and presence of a posting are independent.
    Whole-key removal goes through [remove_key]. *)
 let remove_payload t key payload =
-  match Hashtbl.find_opt t.store key with
+  match Keytbl.find_opt t.store key with
   | None -> false
   | Some payloads -> (
     match posting_remove payload payloads with
     | None -> false
     | Some updated ->
-      Hashtbl.replace t.store key updated;
+      Keytbl.replace t.store key updated;
       true)
 
 let ensure_key t key =
-  if not (Hashtbl.mem t.store key) then begin
-    Hashtbl.replace t.store key [];
+  if not (Keytbl.mem t.store key) then begin
+    Keytbl.replace t.store key [];
     note_added t key
   end
 
 let remove_key t key =
-  if Hashtbl.mem t.store key then begin
-    Hashtbl.remove t.store key;
-    note_removed t key
-  end
+  let before = Keytbl.length t.store in
+  Keytbl.remove t.store key;
+  if Keytbl.length t.store < before then note_removed t key
 
 let clear_store t =
-  Hashtbl.reset t.store;
+  Keytbl.reset t.store;
   (* A crash wipes the disk, tombstones included: durability of deletes
      comes from replication, not from any single node's sidecar. *)
-  Hashtbl.reset t.vers;
+  Keytbl.reset t.vers;
   t.zero_keys <- 0
 
-let has_key t key = Hashtbl.mem t.store key
-let lookup t key = Option.value ~default:[] (Hashtbl.find_opt t.store key)
-let keys t = Hashtbl.fold (fun k _ acc -> k :: acc) t.store []
-let key_count t = Hashtbl.length t.store
+let has_key t key = Keytbl.mem t.store key
+let lookup t key = Option.value ~default:[] (Keytbl.find_opt t.store key)
+let keys t = Keytbl.fold (fun k _ acc -> k :: acc) t.store []
+let key_count t = Keytbl.length t.store
 let zero_count t = t.zero_keys
 
 let recount_zeros t =
@@ -155,7 +158,7 @@ let recount_zeros t =
   t.zero_keys <-
     (if level >= Key.bits then 0
      else
-       Hashtbl.fold
+       Keytbl.fold
          (fun k _ acc -> if Key.bit k level = 0 then acc + 1 else acc)
          t.store 0)
 
@@ -223,13 +226,13 @@ let clear_replicas t = Intset.clear t.replicas
 
 let drop_keys_outside t path =
   let doomed =
-    Hashtbl.fold
+    Keytbl.fold
       (fun k _ acc -> if Path.matches_key path k then acc else k :: acc)
       t.store []
   in
   List.iter (remove_key t) doomed;
   let stale_meta =
-    Hashtbl.fold
+    Keytbl.fold
       (fun k _ acc -> if Path.matches_key path k then acc else k :: acc)
       t.vers []
   in

@@ -14,10 +14,15 @@
     construction engine uses to compute load fractions and the
     degenerate-bisection check without materializing key lists.
 
-    The [store] field is exposed for read-only traversal ([Hashtbl.iter]
-    / [find_opt] / [length]); all mutations must go through {!insert},
-    {!ensure_key}, {!remove_key}, {!clear_store} or {!drop_keys_outside},
-    otherwise the zero-bit counter desynchronizes. *)
+    The store and its version sidecar are flat {!Keytbl} tables whose
+    iteration order is stdlib [Hashtbl]'s, so key hand-overs (and the
+    generator draws each one makes) happen in the same order as they
+    always have.  The [store] field is exposed for read-only traversal
+    ([Keytbl.iter] / [find_opt] / [length]; changing a table from inside
+    its own traversal raises [Invalid_argument]); all mutations must go
+    through {!insert}, {!ensure_key}, {!remove_key}, {!clear_store} or
+    {!drop_keys_outside}, otherwise the zero-bit counter
+    desynchronizes. *)
 
 type id = int
 
@@ -36,12 +41,12 @@ type t = {
   mutable refs : Intset.t array;
       (** [refs.(l)]: peers in the complement at level [l]; the array has
           at least [Path.length path] used slots *)
-  store : (Pgrid_keyspace.Key.t, string list) Hashtbl.t;
+  store : string list Keytbl.t;
       (** key -> payloads (e.g. posting lists); multiple payloads per key,
           kept sorted and duplicate-free so mutation is a single early-exit
           pass.  Read-only outside this module — mutate via the functions
           below. *)
-  vers : (Pgrid_keyspace.Key.t, meta) Hashtbl.t;
+  vers : meta Keytbl.t;
       (** version/tombstone sidecar; a dead entry may outlive its store
           key (that is the tombstone).  Read-only outside this module —
           mutate via {!note_write}/{!note_delete}/{!drop_meta}. *)

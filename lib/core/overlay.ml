@@ -272,7 +272,7 @@ let anti_entropy t =
         let union = Hashtbl.create 64 in
         List.iter
           (fun n ->
-            Hashtbl.iter
+            Keytbl.iter
               (fun k payloads ->
                 let existing = Option.value ~default:[] (Hashtbl.find_opt union k) in
                 let missing = List.filter (fun p -> not (List.mem p existing)) payloads in
@@ -306,7 +306,7 @@ let anti_entropy_pair t ~a ~b ~budget =
       let copied = ref 0 in
       let copy_missing src dst =
         try
-          Hashtbl.iter
+          Keytbl.iter
             (fun k payloads ->
               if !copied >= budget then raise Exit;
               match payloads with

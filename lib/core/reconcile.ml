@@ -33,8 +33,8 @@ let state_of n key =
 let known_keys na nb =
   let seen = Hashtbl.create 64 in
   let note k = if not (Hashtbl.mem seen k) then Hashtbl.replace seen k () in
-  Hashtbl.iter (fun k _ -> note k) na.Node.store;
-  Hashtbl.iter (fun k _ -> note k) nb.Node.store;
+  Keytbl.iter (fun k _ -> note k) na.Node.store;
+  Keytbl.iter (fun k _ -> note k) nb.Node.store;
   Node.meta_fold na (fun k _ () -> note k) ();
   Node.meta_fold nb (fun k _ () -> note k) ();
   Hashtbl.fold (fun k () acc -> k :: acc) seen []

@@ -648,6 +648,7 @@ module Net = Pgrid_simnet.Net
 module Latency = Pgrid_simnet.Latency
 module Overlay = Pgrid_core.Overlay
 module Node = Pgrid_core.Node
+module Keytbl = Pgrid_core.Keytbl
 module Maintenance = Pgrid_core.Maintenance
 module Health = Pgrid_core.Health
 module Key = Pgrid_keyspace.Key
@@ -1296,7 +1297,7 @@ let txn_run_one ~peers ~horizon ~doc_interval ~severity ~seed =
   let settled = Txn.settled_docs mgr in
   let postings = Hashtbl.create 4096 in
   for i = 0 to peers - 1 do
-    Hashtbl.iter
+    Keytbl.iter
       (fun k ps -> List.iter (fun p -> Hashtbl.replace postings (k, p) ()) ps)
       (Overlay.node overlay i).Node.store
   done;
@@ -2074,7 +2075,7 @@ let queries_run ~peers ~count ~seed =
   let () =
     let canonical = Hashtbl.create (Array.length keys) in
     for i = 0 to peers - 1 do
-      Hashtbl.iter
+      Keytbl.iter
         (fun k payloads ->
           let existing = Option.value ~default:[] (Hashtbl.find_opt canonical k) in
           let missing = List.filter (fun p -> not (List.mem p existing)) payloads in

@@ -60,6 +60,50 @@ let run ~seed ~quota_ms =
       ignore (Pgrid_prng.Rng.int rng 1000)
     done
   in
+  (* Construction's two store/refs kernels, on the sizes the Pareto-1.5
+     build sees: a same-partition meeting counts the keys two ~50-key
+     stores share (and how many of those have bit 0 at the pair's
+     level), as [Engine.same_partition] does; a replicate exchanges
+     11-level routing tables of ~44 refs a level both ways.  After the
+     first run the tables have converged, so the exchange measures the
+     no-op union (44% of the unions of a 2000-peer construction). *)
+  let module Node = Pgrid_core.Node in
+  let module Keytbl = Pgrid_core.Keytbl in
+  let module Key = Pgrid_keyspace.Key in
+  let na = Node.create ~id:0 and nb = Node.create ~id:1 in
+  Array.iteri
+    (fun i k ->
+      if i < 50 then Node.ensure_key na k;
+      if i >= 25 && i < 75 then Node.ensure_key nb k)
+    keys;
+  let overlap_level = 3 in
+  let store_overlap () =
+    let shared = ref 0 and zeros = ref 0 in
+    Keytbl.iter
+      (fun k _ ->
+        if Keytbl.mem nb.Node.store k then begin
+          incr shared;
+          if Key.bit k overlap_level = 0 then incr zeros
+        end)
+      na.Node.store;
+    ignore (Sys.opaque_identity (!shared + !zeros))
+  in
+  let levels = 11 in
+  let path = Pgrid_keyspace.Path.of_string (String.make levels '0') in
+  Node.set_path na path;
+  Node.set_path nb path;
+  for level = 0 to levels - 1 do
+    for _ = 1 to 44 do
+      Node.add_ref na ~level (2 + Pgrid_prng.Rng.int rng 10_000);
+      Node.add_ref nb ~level (2 + Pgrid_prng.Rng.int rng 10_000)
+    done
+  done;
+  let refs_union () =
+    for level = 0 to levels - 1 do
+      Node.union_refs nb ~level ~from:na;
+      Node.union_refs na ~level ~from:nb
+    done
+  in
   let sim_burst () =
     let s = Pgrid_simnet.Sim.create () in
     for i = 1 to 1000 do
@@ -85,6 +129,8 @@ let run ~seed ~quota_ms =
         Test.make ~name:"qcache-probe-hit" (Staged.stage (probe_hot ~at:0));
         Test.make ~name:"qcache-probe-miss" (Staged.stage (probe_hot ~at:1));
         Test.make ~name:"rng-int" (Staged.stage rng_ints);
+        Test.make ~name:"store-overlap" (Staged.stage store_overlap);
+        Test.make ~name:"refs-union" (Staged.stage refs_union);
         Test.make ~name:"sim-1000-events" (Staged.stage sim_burst);
         Test.make ~name:"codec-of-term"
           (* A single ~80ns call is dominated by call overhead and GC

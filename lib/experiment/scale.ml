@@ -2,11 +2,12 @@
    event throughput at growing population sizes.
 
    Two numbers per size, each bracketed by [Gc.quick_stat] so the report
-   also carries allocation totals (minor/promoted words repeat exactly
-   for a fixed seed and binary, so they gate regressions even across
-   machines where wall-clock numbers cannot; [Gc.quick_stat] counts them
-   at minor-collection granularity, so a different binary may move them
-   by up to one minor heap):
+   also carries allocation totals.  [Gc.quick_stat] counts words only
+   at minor collections, so every sample is taken right after a
+   [Gc.minor ()]: minor words are then exact for a fixed seed, whatever
+   the binary's layout or the minor heap size, and gate regressions even
+   across machines where wall-clock numbers cannot (promoted words
+   repeat exactly for a fixed seed and minor heap size):
 
    - construction: [Round.run] over a Uniform workload, reported as
      peers/second, plus the resulting load-balance deviation as a
@@ -41,13 +42,16 @@ type row = {
 (* [measure f] is [f ()] plus wall-clock seconds and the minor/promoted
    word deltas it allocated.  The full major collection beforehand keeps
    the deltas about [f] alone, not about garbage a previous size left
-   behind. *)
+   behind; emptying the minor heap before each sample makes the word
+   counts exact rather than rounded to the last minor collection. *)
 let measure f =
   Gc.full_major ();
+  Gc.minor ();
   let s0 = Gc.quick_stat () in
   let t0 = Unix.gettimeofday () in
   let result = f () in
   let seconds = Unix.gettimeofday () -. t0 in
+  Gc.minor ();
   let s1 = Gc.quick_stat () in
   ( result,
     seconds,

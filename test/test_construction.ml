@@ -343,6 +343,49 @@ let test_net_latency_series () =
       checkb "stddev non-negative" true (std >= 0.))
     o.Net_engine.latency_series
 
+(* Construction fingerprint, pinned from the run before node stores
+   became flat tables: key hand-overs follow store iteration order and
+   every delivery draws from the generator, so a store whose order
+   drifted from stdlib Hashtbl's would change these values. *)
+let test_round_fingerprint () =
+  let rng = Rng.create ~seed:1 in
+  let params = Round.default_params ~peers:300 in
+  let assignments =
+    Distribution.assign_to_peers rng (Distribution.Pareto 1.5) ~peers:300
+      ~keys_per_peer:params.Round.keys_per_peer
+  in
+  let o = Round.run_with_keys rng params ~assignments in
+  List.iter
+    (fun (name, expected, got) -> checki name expected got)
+    [
+      ("rounds", 14, o.Round.rounds);
+      ("interactions", 6706, o.Round.interactions);
+      ("keys_moved", 57515, o.Round.keys_moved);
+      ("replication_keys", 15000, o.Round.replication_keys);
+      ("splits", 455, o.Round.splits);
+      ("follows", 935, o.Round.follows);
+      ("merges", 1259, o.Round.merges);
+      ("refer_steps", 4047, o.Round.refer_steps);
+    ];
+  Alcotest.(check string)
+    "deviation" "0.5738379562210919"
+    (Printf.sprintf "%.17g" o.Round.deviation);
+  let b = Buffer.create 4096 in
+  for i = 0 to Overlay.size o.Round.overlay - 1 do
+    let n = Overlay.node o.Round.overlay i in
+    Buffer.add_string b (Pgrid_keyspace.Path.to_string n.Node.path);
+    Buffer.add_char b ':';
+    Pgrid_core.Keytbl.iter
+      (fun k _ ->
+        Buffer.add_string b (Key.to_hex k);
+        Buffer.add_char b ',')
+      n.Node.store;
+    Buffer.add_char b '\n'
+  done;
+  Alcotest.(check string)
+    "paths and store keys in iteration order" "fffe4697cb5cb88c8aae0da1a3f7dd44"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let suite =
   [
     Alcotest.test_case "estimate synced anchor" `Quick test_estimate_synced_anchor;
@@ -361,6 +404,7 @@ let suite =
     Alcotest.test_case "round handles skew" `Quick test_round_skew_still_works;
     Alcotest.test_case "round interaction scaling" `Quick test_round_interactions_scale;
     Alcotest.test_case "round invalid args" `Quick test_round_invalid;
+    Alcotest.test_case "round fingerprint" `Quick test_round_fingerprint;
     Alcotest.test_case "net engine rejects bad robust config" `Quick
       test_net_robust_invalid;
     Alcotest.test_case "sequential builds" `Quick test_sequential_builds;

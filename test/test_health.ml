@@ -6,6 +6,7 @@ module Key = Pgrid_keyspace.Key
 module Path = Pgrid_keyspace.Path
 module Distribution = Pgrid_workload.Distribution
 module Node = Pgrid_core.Node
+module Keytbl = Pgrid_core.Keytbl
 module Overlay = Pgrid_core.Overlay
 module Builder = Pgrid_core.Builder
 module Health = Pgrid_core.Health
@@ -86,7 +87,7 @@ let test_lost_key_detected () =
   let victim = keys.(0) in
   for i = 0 to Overlay.size overlay - 1 do
     let n = Overlay.node overlay i in
-    if Node.has_key n victim then Hashtbl.remove n.Node.store victim
+    if Node.has_key n victim then Keytbl.remove n.Node.store victim
   done;
   let r = Health.check ~keys ~n_min:5 overlay in
   checkb "loss detected" true (r.Health.lost >= 1);
@@ -153,7 +154,7 @@ let test_daemon_resyncs_replicas () =
     scan 0
   in
   let n, k = pick () in
-  Hashtbl.remove n.Node.store k;
+  Keytbl.remove n.Node.store k;
   let sim = Sim.create () in
   let stats =
     install sim overlay keys ~seed:9 ~until:300.

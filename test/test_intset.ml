@@ -59,6 +59,44 @@ let test_union_into () =
   Intset.union_into ~into:c b;
   check_elems "union into empty copies" [ 2; 3; 6 ] (Intset.elements c)
 
+let test_union_into_aliasing_and_subset () =
+  let a = Intset.of_list [ 1; 3; 5 ] in
+  Intset.union_into ~into:a a;
+  check_elems "self-union is a no-op" [ 1; 3; 5 ] (Intset.elements a);
+  Intset.union_into ~into:a (Intset.of_list [ 3; 5 ]);
+  check_elems "subset adds nothing" [ 1; 3; 5 ] (Intset.elements a);
+  Intset.union_into ~into:a (Intset.of_list [ 0; 1; 4; 9 ]);
+  check_elems "interleaved merge" [ 0; 1; 3; 4; 5; 9 ] (Intset.elements a);
+  let b = Intset.create ~capacity:1 () in
+  Intset.union_into ~into:b (Intset.of_list (List.init 40 (fun i -> 2 * i)));
+  Intset.union_into ~into:b (Intset.of_list (List.init 40 (fun i -> (2 * i) + 1)));
+  check_elems "growth past several doublings" (List.init 80 Fun.id) (Intset.elements b)
+
+(* Minor words allocated by [f ()] beyond the cost of measuring. *)
+let minor_words_of f =
+  let measure g =
+    let before = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. before
+  in
+  measure f -. measure ignore
+
+(* Once reference tables have converged, most unions of a replicate
+   exchange add nothing; those must not allocate. *)
+let test_union_into_noop_allocates_nothing () =
+  if Sys.backend_type = Sys.Native then begin
+    let into = Intset.of_list (List.init 44 (fun i -> 3 * i)) in
+    let subset = Intset.of_list (List.init 20 (fun i -> 6 * i)) in
+    let w =
+      minor_words_of (fun () ->
+          for _ = 1 to 1000 do
+            Intset.union_into ~into subset;
+            Intset.union_into ~into into
+          done)
+    in
+    Alcotest.(check (float 0.)) "minor words over 2000 no-op unions" 0. w
+  end
+
 (* Model-based: any interleaving of adds/removes agrees with a sorted
    deduplicated list model. *)
 let qcheck_model =
@@ -98,6 +136,10 @@ let suite =
     Alcotest.test_case "remove" `Quick test_remove;
     Alcotest.test_case "iter / fold / exists" `Quick test_iter_fold;
     Alcotest.test_case "union_into" `Quick test_union_into;
+    Alcotest.test_case "union_into aliasing and subsets" `Quick
+      test_union_into_aliasing_and_subset;
+    Alcotest.test_case "no-op union allocates nothing" `Quick
+      test_union_into_noop_allocates_nothing;
     QCheck_alcotest.to_alcotest qcheck_model;
     QCheck_alcotest.to_alcotest qcheck_union_model;
   ]

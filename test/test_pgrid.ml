@@ -9,6 +9,7 @@ let () =
       ("workload", Test_workload.suite);
       ("partition", Test_partition.suite);
       ("intset", Test_intset.suite);
+      ("keytbl", Test_keytbl.suite);
       ("core", Test_core.suite);
       ("maintenance", Test_maintenance.suite);
       ("balance", Test_balance.suite);

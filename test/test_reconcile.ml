@@ -7,6 +7,7 @@ module Key = Pgrid_keyspace.Key
 module Path = Pgrid_keyspace.Path
 module Distribution = Pgrid_workload.Distribution
 module Node = Pgrid_core.Node
+module Keytbl = Pgrid_core.Keytbl
 module Overlay = Pgrid_core.Overlay
 module Builder = Pgrid_core.Builder
 module Balance = Pgrid_core.Balance
@@ -29,7 +30,7 @@ let holders_of overlay key =
   let ids = ref [] in
   for i = 0 to Overlay.size overlay - 1 do
     let n = Overlay.node overlay i in
-    if Node.responsible_for n key && Hashtbl.mem n.Node.store key then
+    if Node.responsible_for n key && Keytbl.mem n.Node.store key then
       ids := i :: !ids
   done;
   List.rev !ids
@@ -83,7 +84,7 @@ let resurrection_fixture seed =
   | Some _ -> ());
   (Overlay.node overlay stale).Node.online <- true;
   checkb "stale replica kept its copy" true
-    (Hashtbl.mem (Overlay.node overlay stale).Node.store key);
+    (Keytbl.mem (Overlay.node overlay stale).Node.store key);
   let live = List.filter (fun i -> i <> stale) holders in
   (overlay, key, stale, List.hd live)
 
@@ -92,7 +93,7 @@ let test_legacy_anti_entropy_resurrects () =
   let copied = Overlay.anti_entropy_pair overlay ~a:clean ~b:stale ~budget:1000 in
   checkb "legacy union copied the stale key back" true (copied > 0);
   checkb "key resurrected at the clean replica" true
-    (Hashtbl.mem (Overlay.node overlay clean).Node.store key);
+    (Keytbl.mem (Overlay.node overlay clean).Node.store key);
   let r = Health.check ~versions:true ~n_min:5 overlay in
   checkb "audit reports the resurrection" true (r.Health.resurrected > 0)
 
@@ -101,9 +102,9 @@ let test_sync_pair_entombs_stale_copy () =
   let r = Reconcile.sync_pair overlay ~a:clean ~b:stale ~budget:1000 in
   checkb "sync tombstoned the stale copy" true (r.Reconcile.tombstoned > 0);
   checkb "stale replica dropped the key" true
-    (not (Hashtbl.mem (Overlay.node overlay stale).Node.store key));
+    (not (Keytbl.mem (Overlay.node overlay stale).Node.store key));
   checkb "clean replica still clean" true
-    (not (Hashtbl.mem (Overlay.node overlay clean).Node.store key));
+    (not (Keytbl.mem (Overlay.node overlay clean).Node.store key));
   (match Node.meta (Overlay.node overlay stale) key with
   | Some m -> checkb "stale replica carries the tombstone now" true m.Node.dead
   | None -> Alcotest.fail "sync left no tombstone behind");
@@ -119,7 +120,7 @@ let test_newer_write_beats_tombstone () =
   | Some _ -> ());
   ignore (Reconcile.sync_pair overlay ~a:clean ~b:stale ~budget:1000);
   checkb "re-inserted key survives at the clean replica" true
-    (Hashtbl.mem (Overlay.node overlay clean).Node.store key);
+    (Keytbl.mem (Overlay.node overlay clean).Node.store key);
   let h = Health.check ~versions:true ~n_min:5 overlay in
   checki "a live re-insert is not a resurrection" 0 h.Health.resurrected
 
@@ -220,7 +221,7 @@ let test_split_brain_balance_and_repair () =
       | None -> Alcotest.failf "key unroutable after repair"
       | Some id ->
         checkb "responsible peer holds the key" true
-          (Hashtbl.mem (Overlay.node overlay id).Node.store k))
+          (Keytbl.mem (Overlay.node overlay id).Node.store k))
     !fat
 
 let test_repair_is_deterministic () =
