@@ -366,6 +366,72 @@ let test_storm_breaker_opens () =
   checkb "circuits opened" true (s.Storm.breaker_opens > 0);
   checkb "open circuits skipped on later walks" true (s.Storm.breaker_skips > 0)
 
+(* Storm fingerprint, pinned from the run before the hop state became a
+   flat record and the event heap 4-ary: a 300-peer protected storm whose
+   burst exceeds the service knee, so every defence fires, with a churn
+   window on top.  Retry, hedge and breaker order all feed back into the
+   RNG stream, so any reordering of the walk's side effects moves these
+   values. *)
+let test_storm_fingerprint () =
+  let rng = Rng.create ~seed:31 in
+  let keys = Distribution.generate rng Distribution.Uniform ~n:3000 in
+  let overlay = Builder.index rng ~peers:300 ~keys ~d_max:50 ~n_min:5 ~refs_per_level:2 in
+  let n = Overlay.size overlay in
+  let sim = Sim.create () in
+  let net =
+    Net.create ~service:Net.default_overload sim (Rng.create ~seed:32) ~nodes:n
+      ~latency:Latency.planetlab ~loss:0.02 ~bucket:60.
+  in
+  let storm =
+    Storm.create sim (Rng.create ~seed:33) overlay net
+      { Storm.default_config with hedge_after = Some 2.; breaker = Some Breaker.default_config }
+  in
+  (* 5 q/s for 100 s, a 60 q/s burst for 60 s, then 5 q/s under churn. *)
+  let arrivals = Rng.create ~seed:34 in
+  let t = ref 0. in
+  while !t < 300. do
+    let key = keys.(Rng.int arrivals (Array.length keys)) and origin = Rng.int arrivals n in
+    Sim.schedule_at sim ~time:!t (fun () -> Storm.issue storm ~origin ~key);
+    let rate = if !t >= 100. && !t < 160. then 60. else 5. in
+    t := !t +. Pgrid_prng.Sample.exponential arrivals ~rate
+  done;
+  Pgrid_simnet.Churn.install ~clamp:true sim (Rng.create ~seed:35)
+    (Pgrid_simnet.Churn.paper_params ~start:200. ~stop:300.)
+    ~node_ids:(List.init n Fun.id) ~set_online:(Net.set_online net);
+  Sim.run sim;
+  let s = Storm.stats storm in
+  List.iter
+    (fun (name, expected, got) -> checki name expected got)
+    [
+      ("issued", 4800, s.Storm.issued);
+      ("succeeded", 3869, s.Storm.succeeded);
+      ("failed", 931, s.Storm.failed);
+      ("timeouts", 13530, s.Storm.timeouts);
+      ("retries", 8407, s.Storm.retries);
+      ("give_ups", 5123, s.Storm.give_ups);
+      ("hedges", 7964, s.Storm.hedges);
+      ("hedge_wins", 1261, s.Storm.hedge_wins);
+      ("breaker_opens", 861, s.Storm.breaker_opens);
+      ("breaker_skips", 399, s.Storm.breaker_skips);
+      ("sheds", 4496, s.Storm.sheds);
+      ("sheds_maintenance", 0, s.Storm.sheds_maintenance);
+      ("sheds_query", 4496, s.Storm.sheds_query);
+      ("queue_peak", 12, s.Storm.queue_peak);
+      ("processed", 153635, Sim.processed sim);
+      ("sent", 56202, Net.messages_sent net);
+      ("dropped", 1110, Net.messages_dropped net);
+      ("shed", 4496, Net.messages_shed net);
+      ("in_flight", 0, Storm.in_flight storm);
+    ];
+  let b = Buffer.create 65_536 in
+  List.iter
+    (fun c ->
+      Printf.bprintf b "%.17g %.17g %b\n" c.Storm.issued_at c.Storm.finished_at c.Storm.success)
+    (Storm.completions storm);
+  Alcotest.(check string)
+    "completions" "9181e0eb8d88a821b2ee33963bfdb4df"
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 let test_lookup_batch_nobody_online () =
   (* Satellite: a batch against a fully-killed overlay returns a partial
      result (zero issued) instead of hanging in rejection sampling. *)
@@ -826,6 +892,7 @@ let suite =
     Alcotest.test_case "storm hedge dodges dead primary" `Quick
       test_storm_hedge_dodges_dead_primary;
     Alcotest.test_case "storm breaker opens" `Quick test_storm_breaker_opens;
+    Alcotest.test_case "storm fingerprint" `Quick test_storm_fingerprint;
     Alcotest.test_case "lookup batch nobody online" `Quick
       test_lookup_batch_nobody_online;
     Alcotest.test_case "range batch nobody online" `Quick
