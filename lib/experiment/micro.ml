@@ -104,6 +104,42 @@ let run ~seed ~quota_ms =
       Node.union_refs na ~level ~from:nb
     done
   in
+  (* The event heap at the depth a churn schedule keeps it for a whole
+     netstorm run: 18k events parked far in the future, under which each
+     run pushes 16 near-term events and pops them again.  Every push
+     sifts to the root and every pop sifts a parked event back down. *)
+  let module Sim = Pgrid_simnet.Sim in
+  let heap = Sim.create () in
+  for i = 1 to 18_000 do
+    Sim.schedule_at heap ~time:(1e12 +. float_of_int i) ignore
+  done;
+  let near = Array.init 16 (fun _ -> Pgrid_prng.Rng.float rng) in
+  let sim_heap () =
+    Array.iter (fun delay -> Sim.schedule heap ~delay ignore) near;
+    Sim.run_until heap ~time:(Sim.now heap +. 1.)
+  in
+  (* A breaker table as a protected storm leaves it: 4096 links that
+     have failed and recovered (so they are present, closed), probed
+     with 100 admit/record-success pairs a run, half on links never
+     seen. *)
+  let module Breaker = Pgrid_simnet.Breaker in
+  let breaker =
+    Breaker.create ~telemetry:Pgrid_telemetry.Telemetry.disabled Breaker.default_config
+      ~now:(fun () -> 0.)
+  in
+  for origin = 0 to 63 do
+    for target = 0 to 63 do
+      Breaker.record_failure breaker ~origin ~target;
+      Breaker.record_success breaker ~origin ~target
+    done
+  done;
+  let breaker_admits () =
+    for i = 0 to 99 do
+      let origin = i land 63 and target = (i * 37) land 127 in
+      if Breaker.admits breaker ~origin ~target then
+        Breaker.record_success breaker ~origin ~target
+    done
+  in
   let sim_burst () =
     let s = Pgrid_simnet.Sim.create () in
     for i = 1 to 1000 do
@@ -132,6 +168,8 @@ let run ~seed ~quota_ms =
         Test.make ~name:"store-overlap" (Staged.stage store_overlap);
         Test.make ~name:"refs-union" (Staged.stage refs_union);
         Test.make ~name:"sim-1000-events" (Staged.stage sim_burst);
+        Test.make ~name:"sim-heap" (Staged.stage sim_heap);
+        Test.make ~name:"breaker-admits" (Staged.stage breaker_admits);
         Test.make ~name:"codec-of-term"
           (* A single ~80ns call is dominated by call overhead and GC
              pacing from unrelated fixtures; a batch over varied term

@@ -2,33 +2,35 @@ let uniform rng ~lo ~hi =
   if not (lo < hi) then invalid_arg "Sample.uniform: lo must be < hi";
   lo +. ((hi -. lo) *. Rng.float rng)
 
-let normal rng ~mu ~sigma =
-  (* Box-Muller.  Guard the logarithm against u1 = 0. *)
-  let rec nonzero () =
-    let u = Rng.float rng in
-    if u > 0. then u else nonzero ()
-  in
-  let u1 = nonzero () and u2 = Rng.float rng in
+(* A uniform draw in (0, 1], for the logarithms below.  Inlined, with
+   its loop over a local float ref the compiler keeps unboxed: a call
+   returning a float, or a local [nonzero] closure, would allocate on
+   every draw.  Box-Muller is inlined into both of its callers for the
+   same reason. *)
+let[@inline] positive rng =
+  let u = ref (Rng.float rng) in
+  while not (!u > 0.) do
+    u := Rng.float rng
+  done;
+  !u
+
+let[@inline] gaussian rng ~mu ~sigma =
+  let u1 = positive rng in
+  let u2 = Rng.float rng in
   let r = sqrt (-2. *. log u1) in
   mu +. (sigma *. r *. cos (2. *. Float.pi *. u2))
 
+let normal rng ~mu ~sigma = gaussian rng ~mu ~sigma
+
 let pareto rng ~alpha ~k =
   if alpha <= 0. || k <= 0. then invalid_arg "Sample.pareto";
-  let rec nonzero () =
-    let u = Rng.float rng in
-    if u > 0. then u else nonzero ()
-  in
-  k /. Float.pow (nonzero ()) (1. /. alpha)
+  k /. Float.pow (positive rng) (1. /. alpha)
 
 let exponential rng ~rate =
   if rate <= 0. then invalid_arg "Sample.exponential";
-  let rec nonzero () =
-    let u = Rng.float rng in
-    if u > 0. then u else nonzero ()
-  in
-  -.log (nonzero ()) /. rate
+  -.log (positive rng) /. rate
 
-let lognormal rng ~mu ~sigma = exp (normal rng ~mu ~sigma)
+let lognormal rng ~mu ~sigma = exp (gaussian rng ~mu ~sigma)
 
 let binomial rng ~n ~p =
   if n < 0 then invalid_arg "Sample.binomial";
@@ -41,12 +43,7 @@ let binomial rng ~n ~p =
 let geometric rng ~p =
   if not (p > 0. && p <= 1.) then invalid_arg "Sample.geometric";
   if p >= 1. then 1
-  else
-    let rec nonzero () =
-      let u = Rng.float rng in
-      if u > 0. then u else nonzero ()
-    in
-    1 + int_of_float (Float.floor (log (nonzero ()) /. log (1. -. p)))
+  else 1 + int_of_float (Float.floor (log (positive rng) /. log (1. -. p)))
 
 module Zipf = struct
   type t = { cdf : float array }

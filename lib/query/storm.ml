@@ -52,6 +52,49 @@ type stats = {
   queue_peak : int;
 }
 
+(* Pending requests by request id.  Ids are handed out consecutively
+   from 0, so the identity hash spreads them evenly. *)
+module Rids = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash (rid : int) = rid
+end)
+
+(* One lookup in flight. *)
+type lookup = { qid : int; origin : int; key : Key.t; issued_at : float; mutable hops : int }
+
+(* Not a peer id: the backup of a hop that has not hedged, and a
+   reference slot a hedge took. *)
+let no_peer = -1
+
+(* One routing hop: a primary attempt with bounded retries, optionally
+   raced by a single hedged backup via the next admitted sibling
+   reference.  The whole state of the hop is this one record: the
+   request handlers, timeouts and hedge timer are top-level functions
+   over it, so a hop allocates no closures beyond its timer callbacks.
+
+   [refs] is the step's shuffled reference snapshot, private to the
+   step: the references still to try after this hop are
+   [refs.(next ..)], minus the slot a hedge took (marked [no_peer]).  When
+   both arms of a hop die, the walk moves on to a fresh hop record
+   sharing the same [refs]; the dead hop's remaining timers see its
+   flags and do nothing. *)
+type hop = {
+  q : lookup;
+  cur : int;
+  budget : int;
+  refs : int array;
+  next : int;
+  primary : int;
+  mutable primary_rid : int;
+  mutable backup : int;  (* [no_peer] until the hedge launches *)
+  mutable backup_rid : int;
+  mutable primary_dead : bool;
+  mutable backup_dead : bool;
+  mutable resolved : bool;
+}
+
 type t = {
   sim : Sim.t;
   rng : Rng.t;
@@ -60,7 +103,7 @@ type t = {
   cfg : config;
   tel : Telemetry.t;
   breaker : Breaker.t option;
-  pending : (int, unit -> unit) Hashtbl.t;
+  pending : hop Rids.t;
   mutable next_rid : int;
   mutable next_qid : int;
   mutable issued : int;
@@ -75,12 +118,169 @@ type t = {
   mutable completions : completion list;
 }
 
+let admits t ~origin ~target =
+  match t.breaker with
+  | None -> true
+  | Some br -> Breaker.admits br ~origin ~target
+
+let record_success t ~origin ~target =
+  match t.breaker with
+  | None -> ()
+  | Some br -> Breaker.record_success br ~origin ~target
+
+let record_failure t ~origin ~target =
+  match t.breaker with
+  | None -> ()
+  | Some br -> Breaker.record_failure br ~origin ~target
+
+let finish t q success =
+  let now = Sim.now t.sim in
+  if success then t.succeeded <- t.succeeded + 1 else t.failed <- t.failed + 1;
+  if Telemetry.active t.tel then
+    Telemetry.emit t.tel
+      (Event.Query_complete
+         { qid = q.qid; origin = q.origin; hops = q.hops; latency = now -. q.issued_at; success });
+  t.completions <- { issued_at = q.issued_at; finished_at = now; success } :: t.completions
+
+let rec route t q cur budget =
+  if budget = 0 then finish t q false
+  else
+    let node = Overlay.node t.overlay cur in
+    match Overlay.divergence_level node.Node.path q.key with
+    | None ->
+      (* Responsible peer reached; the response flows back. *)
+      Net.account ~src:cur ~dst:q.origin t.net ~bytes:t.cfg.header_bytes ~kind:Net.Query;
+      finish t q true
+    | Some level ->
+      let refs = Node.refs_array node ~level in
+      Rng.shuffle t.rng refs;
+      try_refs t q cur budget refs 0
+
+(* Start a hop at the first admitted reference of [refs.(i ..)]. *)
+and try_refs t q cur budget refs i =
+  if i = Array.length refs then finish t q false
+  else
+    let target = refs.(i) in
+    if target = no_peer then try_refs t q cur budget refs (i + 1)
+    else if not (admits t ~origin:cur ~target) then begin
+      t.breaker_skips <- t.breaker_skips + 1;
+      try_refs t q cur budget refs (i + 1)
+    end
+    else begin
+      let h =
+        {
+          q;
+          cur;
+          budget;
+          refs;
+          next = i + 1;
+          primary = target;
+          primary_rid = -1;
+          backup = no_peer;
+          backup_rid = -1;
+          primary_dead = false;
+          backup_dead = false;
+          resolved = false;
+        }
+      in
+      arm t h ~backup:false target 0;
+      match t.cfg.hedge_after with
+      | None -> ()
+      | Some after -> Sim.schedule t.sim ~delay:after (fun () -> hedge t h)
+    end
+
+(* Send attempt [k] of one arm of hop [h] and book its timeout. *)
+and arm t h ~backup target k =
+  let rid = t.next_rid in
+  t.next_rid <- rid + 1;
+  if backup then h.backup_rid <- rid else h.primary_rid <- rid;
+  Rids.replace t.pending rid h;
+  Net.send t.net ~src:h.cur ~dst:target ~bytes:t.cfg.header_bytes ~kind:Net.Query
+    (Req { rid; reply_to = h.cur });
+  let timeout = t.cfg.req_timeout *. (t.cfg.backoff ** float_of_int k) in
+  Sim.schedule t.sim ~delay:timeout (fun () -> expire t h rid k)
+
+(* Attempt [k] (request [rid]) of hop [h] timed out, unless it was
+   answered or cancelled first.  The primary retries up to
+   [max_retries] times; the hedge is a single attempt.  Once an arm gives
+   up and no other arm is in flight, the walk falls back to the step's
+   remaining references. *)
+and expire t h rid k =
+  if (not h.resolved) && Rids.mem t.pending rid then begin
+    Rids.remove t.pending rid;
+    let backup = rid = h.backup_rid in
+    let target = if backup then h.backup else h.primary in
+    t.timeouts <- t.timeouts + 1;
+    if Telemetry.active t.tel then
+      Telemetry.emit t.tel (Event.Timeout { rid; src = h.cur; dst = target; attempt = k });
+    record_failure t ~origin:h.cur ~target;
+    let max_k = if backup then 0 else t.cfg.max_retries in
+    if k < max_k then begin
+      t.retries <- t.retries + 1;
+      if Telemetry.active t.tel then
+        Telemetry.emit t.tel (Event.Retry { rid; src = h.cur; dst = target; attempt = k + 1 });
+      arm t h ~backup target (k + 1)
+    end
+    else begin
+      t.give_ups <- t.give_ups + 1;
+      if Telemetry.active t.tel then Telemetry.emit t.tel (Event.Give_up { rid; src = h.cur });
+      if backup then h.backup_dead <- true else h.primary_dead <- true;
+      let backup_in_flight = h.backup <> no_peer && not h.backup_dead in
+      if h.primary_dead && not backup_in_flight then try_refs t h.q h.cur h.budget h.refs h.next
+    end
+  end
+
+(* The hedge timer: launch one backup attempt via the first admitted
+   sibling still untried, and take its slot out of the fallback. *)
+and hedge t h =
+  if (not h.resolved) && h.backup = no_peer && not h.primary_dead then begin
+    let refs = h.refs in
+    let rec pick i =
+      if i = Array.length refs then -1
+      else
+        let b = refs.(i) in
+        if b <> no_peer && admits t ~origin:h.cur ~target:b then i else pick (i + 1)
+    in
+    let i = pick h.next in
+    if i >= 0 then begin
+      let b = refs.(i) in
+      refs.(i) <- no_peer;
+      h.backup <- b;
+      t.hedges <- t.hedges + 1;
+      if Telemetry.active t.tel then
+        Telemetry.emit t.tel
+          (Event.Hedge_launch { qid = h.q.qid; origin = h.cur; primary = h.primary; backup = b });
+      (* The hedge is a single attempt: its job is to dodge one slow or
+         shedding peer, not to duplicate the retry ladder. *)
+      arm t h ~backup:true b 0
+    end
+  end
+
+(* First response wins: both arms' request ids are cancelled, so the
+   loser's late reply and pending timeout are ignored. *)
+let advance t h ~winner ~backup_won =
+  if not h.resolved then begin
+    h.resolved <- true;
+    Rids.remove t.pending h.primary_rid;
+    Rids.remove t.pending h.backup_rid;
+    record_success t ~origin:h.cur ~target:winner;
+    if h.backup <> no_peer then begin
+      if backup_won then t.hedge_wins <- t.hedge_wins + 1;
+      if Telemetry.active t.tel then
+        Telemetry.emit t.tel (Event.Hedge_win { qid = h.q.qid; origin = h.cur; backup_won })
+    end;
+    h.q.hops <- h.q.hops + 1;
+    if Telemetry.active t.tel then
+      Telemetry.emit t.tel (Event.Query_hop { qid = h.q.qid; src = h.cur; dst = winner });
+    route t h.q winner (h.budget - 1)
+  end
+
 let create ?(telemetry = Pgrid_telemetry.Global.get ()) sim rng overlay net cfg =
-  if cfg.req_timeout <= 0. then invalid_arg "Storm.create: req_timeout must be positive";
-  if cfg.backoff < 1. then invalid_arg "Storm.create: backoff must be >= 1";
+  if not (cfg.req_timeout > 0.) then invalid_arg "Storm.create: req_timeout must be positive";
+  if not (cfg.backoff >= 1.) then invalid_arg "Storm.create: backoff must be >= 1";
   if cfg.max_retries < 0 then invalid_arg "Storm.create: max_retries must be >= 0";
   (match cfg.hedge_after with
-  | Some h when h <= 0. -> invalid_arg "Storm.create: hedge_after must be positive"
+  | Some h when not (h > 0.) -> invalid_arg "Storm.create: hedge_after must be positive"
   | _ -> ());
   let breaker =
     Option.map
@@ -97,7 +297,7 @@ let create ?(telemetry = Pgrid_telemetry.Global.get ()) sim rng overlay net cfg 
       cfg;
       tel = telemetry;
       breaker;
-      pending = Hashtbl.create 1024;
+      pending = Rids.create 1024;
       next_rid = 0;
       next_qid = 0;
       issued = 0;
@@ -120,29 +320,14 @@ let create ?(telemetry = Pgrid_telemetry.Global.get ()) sim rng overlay net cfg 
         Net.send net ~src:me ~dst:reply_to ~bytes:cfg.header_bytes ~kind:Net.Query
           (Resp { rid })
       | Resp { rid } -> (
-        match Hashtbl.find_opt t.pending rid with
-        | Some continue ->
-          Hashtbl.remove t.pending rid;
-          continue ()
-        | None -> (* late, duplicated or cancelled *) ())
+        match Rids.find t.pending rid with
+        | h ->
+          Rids.remove t.pending rid;
+          let backup_won = rid = h.backup_rid in
+          advance t h ~winner:(if backup_won then h.backup else h.primary) ~backup_won
+        | exception Not_found -> (* late, duplicated or cancelled *) ())
       | Heartbeat -> ());
   t
-
-let admits t ~origin ~target =
-  match t.breaker with
-  | None -> true
-  | Some br -> Breaker.admits br ~origin ~target
-
-let record_success t ~origin ~target =
-  Option.iter (fun br -> Breaker.record_success br ~origin ~target) t.breaker
-
-let record_failure t ~origin ~target =
-  Option.iter (fun br -> Breaker.record_failure br ~origin ~target) t.breaker
-
-let snapshot t cur ~level =
-  let refs = Node.refs_array (Overlay.node t.overlay cur) ~level in
-  Rng.shuffle t.rng refs;
-  Array.to_list refs
 
 let issue t ~origin ~key =
   let qid = t.next_qid in
@@ -151,133 +336,7 @@ let issue t ~origin ~key =
   let issued_at = Sim.now t.sim in
   if Telemetry.active t.tel then
     Telemetry.emit t.tel (Event.Query_issue { qid; origin });
-  let hops = ref 0 in
-  let finish success =
-    let now = Sim.now t.sim in
-    if success then t.succeeded <- t.succeeded + 1 else t.failed <- t.failed + 1;
-    if Telemetry.active t.tel then
-      Telemetry.emit t.tel
-        (Event.Query_complete
-           { qid; origin; hops = !hops; latency = now -. issued_at; success });
-    t.completions <- { issued_at; finished_at = now; success } :: t.completions
-  in
-  let rec route cur budget =
-    if budget = 0 then finish false
-    else
-      match Overlay.divergence_level (Overlay.node t.overlay cur).Node.path key with
-      | None ->
-        (* Responsible peer reached; the response flows back. *)
-        Net.account ~src:cur ~dst:origin t.net ~bytes:t.cfg.header_bytes
-          ~kind:Net.Query;
-        finish true
-      | Some level -> try_refs cur level budget (snapshot t cur ~level)
-  and try_refs cur level budget = function
-    | [] -> finish false
-    | target :: rest ->
-      if not (admits t ~origin:cur ~target) then begin
-        t.breaker_skips <- t.breaker_skips + 1;
-        try_refs cur level budget rest
-      end
-      else hop cur level budget target rest
-  (* One routing hop: a primary attempt with bounded retries, optionally
-     raced by a single hedged backup via the next admitted sibling
-     reference. First response wins; the loser's request id is cancelled
-     so its late reply (and timeout) are ignored. *)
-  and hop cur level budget target rest =
-    let resolved = ref false in
-    let primary_rid = ref (-1) and backup_rid = ref (-1) in
-    (* [Some (backup_target, remaining_rest)] once the hedge launched. *)
-    let backup_state = ref None in
-    let primary_dead = ref false and backup_dead = ref false in
-    let fallback () =
-      match !backup_state with Some (_, rest') -> rest' | None -> rest
-    in
-    let give_up_hop () =
-      let backup_in_flight =
-        match !backup_state with Some _ -> not !backup_dead | None -> false
-      in
-      if !primary_dead && not backup_in_flight then
-        try_refs cur level budget (fallback ())
-    in
-    let advance winner ~backup_won =
-      if not !resolved then begin
-        resolved := true;
-        Hashtbl.remove t.pending !primary_rid;
-        Hashtbl.remove t.pending !backup_rid;
-        record_success t ~origin:cur ~target:winner;
-        if !backup_state <> None then begin
-          if backup_won then t.hedge_wins <- t.hedge_wins + 1;
-          if Telemetry.active t.tel then
-            Telemetry.emit t.tel (Event.Hedge_win { qid; origin = cur; backup_won })
-        end;
-        incr hops;
-        if Telemetry.active t.tel then
-          Telemetry.emit t.tel (Event.Query_hop { qid; src = cur; dst = winner });
-        route winner (budget - 1)
-      end
-    in
-    let rec arm ~backup tgt k ~max_k =
-      let rid = t.next_rid in
-      t.next_rid <- t.next_rid + 1;
-      if backup then backup_rid := rid else primary_rid := rid;
-      Hashtbl.replace t.pending rid (fun () -> advance tgt ~backup_won:backup);
-      Net.send t.net ~src:cur ~dst:tgt ~bytes:t.cfg.header_bytes ~kind:Net.Query
-        (Req { rid; reply_to = cur });
-      let timeout = t.cfg.req_timeout *. (t.cfg.backoff ** float_of_int k) in
-      Sim.schedule t.sim ~delay:timeout (fun () ->
-          if (not !resolved) && Hashtbl.mem t.pending rid then begin
-            Hashtbl.remove t.pending rid;
-            t.timeouts <- t.timeouts + 1;
-            if Telemetry.active t.tel then
-              Telemetry.emit t.tel
-                (Event.Timeout { rid; src = cur; dst = tgt; attempt = k });
-            record_failure t ~origin:cur ~target:tgt;
-            if k < max_k then begin
-              t.retries <- t.retries + 1;
-              if Telemetry.active t.tel then
-                Telemetry.emit t.tel
-                  (Event.Retry { rid; src = cur; dst = tgt; attempt = k + 1 });
-              arm ~backup tgt (k + 1) ~max_k
-            end
-            else begin
-              t.give_ups <- t.give_ups + 1;
-              if Telemetry.active t.tel then
-                Telemetry.emit t.tel (Event.Give_up { rid; src = cur });
-              if backup then backup_dead := true else primary_dead := true;
-              give_up_hop ()
-            end
-          end)
-    in
-    arm ~backup:false target 0 ~max_k:t.cfg.max_retries;
-    match t.cfg.hedge_after with
-    | None -> ()
-    | Some h ->
-      Sim.schedule t.sim ~delay:h (fun () ->
-          if (not !resolved) && !backup_state = None && not !primary_dead then begin
-            (* Pick the first admitted sibling as the backup; the rest
-               stay as the fallback list should both arms die. *)
-            let rec pick skipped = function
-              | [] -> None
-              | b :: bs ->
-                if admits t ~origin:cur ~target:b then
-                  Some (b, List.rev_append skipped bs)
-                else pick (b :: skipped) bs
-            in
-            match pick [] rest with
-            | None -> ()
-            | Some (b, rest') ->
-              backup_state := Some (b, rest');
-              t.hedges <- t.hedges + 1;
-              if Telemetry.active t.tel then
-                Telemetry.emit t.tel
-                  (Event.Hedge_launch { qid; origin = cur; primary = target; backup = b });
-              (* The hedge is a single attempt: its job is to dodge one
-                 slow or shedding peer, not to duplicate the retry
-                 ladder. *)
-              arm ~backup:true b 0 ~max_k:0
-          end)
-  in
-  route origin (4 * Key.bits)
+  route t { qid; origin; key; issued_at; hops = 0 } origin (4 * Key.bits)
 
 let issue_random t ~key =
   let n = Overlay.size t.overlay in
@@ -297,7 +356,7 @@ let heartbeat t ~src ~dst =
   Net.send t.net ~src ~dst ~bytes:t.cfg.header_bytes ~kind:Net.Maintenance Heartbeat
 
 let completions t = t.completions
-let in_flight t = Hashtbl.length t.pending
+let in_flight t = Rids.length t.pending
 
 let stats t =
   {

@@ -33,7 +33,7 @@ type wire =
   | Heartbeat
 
 type config = {
-  req_timeout : float;  (** base per-request timeout, seconds *)
+  req_timeout : float;  (** base per-request timeout, seconds, > 0 *)
   backoff : float;  (** timeout multiplier per retry, >= 1 *)
   max_retries : int;  (** re-sends per primary target *)
   hedge_after : float option;  (** [Some h]: hedge a hop after [h] seconds *)
@@ -69,7 +69,8 @@ type t
 
 (** [create ?telemetry sim rng overlay net cfg] installs the storm's
     handler on [net] (replacing any previous one) and returns the idle
-    engine.  [rng] drives origin draws and per-hop reference shuffles;
+    engine.  Raises [Invalid_argument] on a config outside its stated
+    ranges, NaN included.  [rng] drives origin draws and per-hop reference shuffles;
     breaker state reads simulated time from [sim]. *)
 val create :
   ?telemetry:Pgrid_telemetry.Telemetry.t ->
@@ -97,7 +98,11 @@ val heartbeat : t -> src:int -> dst:int -> unit
 (** Finished lookups, most recent first. *)
 val completions : t -> completion list
 
-(** Requests whose reply or timeout is still outstanding. *)
+(** Request ids still pending: sent, and neither answered, timed out
+    nor cancelled.  This counts ids, not timers: when a hop resolves,
+    the loser's id is cancelled at once, but its timeout stays scheduled
+    in the simulator (and is ignored when it fires), so {!in_flight} can
+    be 0 while {!Pgrid_simnet.Sim.pending} is not. *)
 val in_flight : t -> int
 
 val stats : t -> stats

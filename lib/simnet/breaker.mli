@@ -13,7 +13,7 @@
 
 type config = {
   failures : int;  (** consecutive failures before opening, >= 1 *)
-  cooldown : float;  (** seconds an open breaker refuses traffic, > 0 *)
+  cooldown : float;  (** seconds an open breaker refuses traffic, > 0 (not NaN) *)
 }
 
 (** 5 consecutive failures, 30 s cool-down. *)
@@ -23,8 +23,14 @@ type t
 
 (** [create ?telemetry cfg ~now] makes an empty breaker table reading
     time from [now]. [Breaker_open] / [Breaker_close] events go to
-    [telemetry] (default {!Pgrid_telemetry.Global.get}). *)
+    [telemetry] (default {!Pgrid_telemetry.Global.get}).  Raises
+    [Invalid_argument] when [failures < 1] or [cooldown] is not positive
+    (NaN included). *)
 val create : ?telemetry:Pgrid_telemetry.Telemetry.t -> config -> now:(unit -> float) -> t
+
+(** Node ids passed as [origin] and [target] below must lie in
+    [\[0, 2^31)]: a pair is packed into one int key.  Others raise
+    [Invalid_argument]. *)
 
 (** [admits t ~origin ~target] asks whether a request may be sent.
     Closed breakers always admit; an open breaker past its cool-down

@@ -24,8 +24,10 @@ let default_overload = { service_rate = 2.; queue_capacity = 16; query_threshold
    is switched off. *)
 type 'msg service = {
   cfg : overload_config;
-  queues : (int * kind * 'msg) Queue.t array;
+  period : float;  (* [1 / service_rate], boxed once: booking a slot passes it as is *)
+  queues : (int * 'msg) Queue.t array;
   draining : bool array;
+  drains : (unit -> unit) array;  (* one service-slot callback per peer *)
   mutable shed_maintenance : int;
   mutable shed_query : int;
   mutable backlog_total : int;
@@ -55,50 +57,6 @@ type 'msg t = {
   mutable fault : (src:int -> dst:int -> fate) option;
   service : 'msg service option;
 }
-
-let create ?(telemetry = Pgrid_telemetry.Global.get ()) ?service sim rng ~nodes
-    ~latency ~loss ~bucket =
-  if nodes < 1 then invalid_arg "Net.create: nodes must be >= 1";
-  if loss < 0. || loss >= 1. then invalid_arg "Net.create: loss must be in [0, 1)";
-  if bucket <= 0. then invalid_arg "Net.create: bucket must be positive";
-  let service =
-    match service with
-    | None -> None
-    | Some cfg ->
-      if cfg.service_rate <= 0. then
-        invalid_arg "Net.create: service_rate must be positive";
-      if cfg.queue_capacity < 1 then
-        invalid_arg "Net.create: queue_capacity must be >= 1";
-      if cfg.query_threshold < 1 || cfg.query_threshold > cfg.queue_capacity then
-        invalid_arg "Net.create: query_threshold must be in [1, queue_capacity]";
-      Some
-        {
-          cfg;
-          queues = Array.init nodes (fun _ -> Queue.create ());
-          draining = Array.make nodes false;
-          shed_maintenance = 0;
-          shed_query = 0;
-          backlog_total = 0;
-          peak = 0;
-        }
-  in
-  {
-    sim;
-    rng;
-    node_count = nodes;
-    latency;
-    loss;
-    bucket;
-    online = Array.make nodes true;
-    tel = telemetry;
-    handler = (fun _ _ -> ());
-    maintenance = { bytes = Array.make 256 0.; used = 0 };
-    query = { bytes = Array.make 256 0.; used = 0 };
-    sent = 0;
-    dropped = 0;
-    fault = None;
-    service;
-  }
 
 let sim t = t.sim
 let nodes t = t.node_count
@@ -138,21 +96,76 @@ let note_shed t s ~src ~dst ~kind ~backlog =
   if Telemetry.active t.tel then
     Telemetry.emit t.tel (Event.Msg_shed { src; dst; traffic = traffic kind; backlog })
 
-let rec drain t s dst =
-  Sim.schedule t.sim ~delay:(1. /. s.cfg.service_rate) (fun () ->
-      let src, _, msg = Queue.pop s.queues.(dst) in
-      s.backlog_total <- s.backlog_total - 1;
-      if t.online.(dst) then begin
-        if Telemetry.active t.tel then
-          Telemetry.emit t.tel (Event.Msg_recv { src; dst });
-        t.handler dst msg
-      end
-      else
-        (* The peer went offline while the message waited: its service
-           slot still elapses, but the work is lost. *)
-        note_drop t ~src ~dst;
-      if Queue.is_empty s.queues.(dst) then s.draining.(dst) <- false
-      else drain t s dst)
+(* One service slot of [dst] elapses: the head message is handled (or
+   lost, if [dst] went offline while it waited), and the next slot is
+   booked while the queue is non-empty.  Each peer's slot callback is
+   built once, in [create], so booking a slot allocates no closure. *)
+let serve t s dst =
+  let src, msg = Queue.pop s.queues.(dst) in
+  s.backlog_total <- s.backlog_total - 1;
+  if t.online.(dst) then begin
+    if Telemetry.active t.tel then
+      Telemetry.emit t.tel (Event.Msg_recv { src; dst });
+    t.handler dst msg
+  end
+  else
+    (* The peer went offline while the message waited: its service
+       slot still elapses, but the work is lost. *)
+    note_drop t ~src ~dst;
+  if Queue.is_empty s.queues.(dst) then s.draining.(dst) <- false
+  else Sim.schedule t.sim ~delay:s.period s.drains.(dst)
+
+let create ?(telemetry = Pgrid_telemetry.Global.get ()) ?service sim rng ~nodes
+    ~latency ~loss ~bucket =
+  if nodes < 1 then invalid_arg "Net.create: nodes must be >= 1";
+  if not (loss >= 0. && loss < 1.) then invalid_arg "Net.create: loss must be in [0, 1)";
+  if not (bucket > 0.) then invalid_arg "Net.create: bucket must be positive";
+  let service =
+    match service with
+    | None -> None
+    | Some cfg ->
+      if not (cfg.service_rate > 0.) then
+        invalid_arg "Net.create: service_rate must be positive";
+      if cfg.queue_capacity < 1 then
+        invalid_arg "Net.create: queue_capacity must be >= 1";
+      if cfg.query_threshold < 1 || cfg.query_threshold > cfg.queue_capacity then
+        invalid_arg "Net.create: query_threshold must be in [1, queue_capacity]";
+      Some
+        {
+          cfg;
+          period = 1. /. cfg.service_rate;
+          queues = Array.init nodes (fun _ -> Queue.create ());
+          draining = Array.make nodes false;
+          drains = Array.make nodes ignore;
+          shed_maintenance = 0;
+          shed_query = 0;
+          backlog_total = 0;
+          peak = 0;
+        }
+  in
+  let t =
+    {
+      sim;
+      rng;
+      node_count = nodes;
+      latency;
+      loss;
+      bucket;
+      online = Array.make nodes true;
+      tel = telemetry;
+      handler = (fun _ _ -> ());
+      maintenance = { bytes = Array.make 256 0.; used = 0 };
+      query = { bytes = Array.make 256 0.; used = 0 };
+      sent = 0;
+      dropped = 0;
+      fault = None;
+      service;
+    }
+  in
+  (match service with
+  | Some s -> Array.iteri (fun dst _ -> s.drains.(dst) <- (fun () -> serve t s dst)) s.drains
+  | None -> ());
+  t
 
 (* Arrival at the destination: either the legacy unbounded hand-off to
    the handler, or admission into the bounded service queue. *)
@@ -176,12 +189,12 @@ let arrive t ~src ~dst ~kind msg =
       in
       if backlog >= limit then note_shed t s ~src ~dst ~kind ~backlog
       else begin
-        Queue.push (src, kind, msg) s.queues.(dst);
+        Queue.push (src, msg) s.queues.(dst);
         s.backlog_total <- s.backlog_total + 1;
         if backlog + 1 > s.peak then s.peak <- backlog + 1;
         if not s.draining.(dst) then begin
           s.draining.(dst) <- true;
-          drain t s dst
+          Sim.schedule t.sim ~delay:s.period s.drains.(dst)
         end
       end
     end
@@ -202,7 +215,7 @@ let send t ~src ~dst ~bytes ~kind msg =
     t.sent <- t.sent + 1;
     match t.fault with
     | None ->
-      if Rng.float t.rng < t.loss then note_drop t ~src ~dst
+      if Rng.bernoulli t.rng t.loss then note_drop t ~src ~dst
       else deliver t ~src ~dst ~kind ~factor:1. msg
     | Some fate_of ->
       (* The fault layer owns the loss decision (it folds base loss into

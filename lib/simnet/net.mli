@@ -49,7 +49,10 @@ type 'msg t
     shedding). With the model on, a shed message emits [Msg_shed] and is
     counted by {!messages_shed} — not as a drop. A peer that goes
     offline with a non-empty queue keeps burning service slots, but each
-    completed slot is a drop until it returns. *)
+    completed slot is a drop until it returns.  Raises
+    [Invalid_argument] when [nodes < 1], [loss] is outside [\[0, 1)],
+    [bucket] or [service_rate] is not positive (NaN included), or the
+    queue bounds are out of range. *)
 val create :
   ?telemetry:Pgrid_telemetry.Telemetry.t ->
   ?service:overload_config ->

@@ -13,15 +13,18 @@ val create : unit -> t
 (** [now t] is the current simulated time in seconds. *)
 val now : t -> float
 
-(** [schedule t ~delay f] runs [f] at [now t +. delay]. Requires
-    [delay >= 0]. *)
+(** [schedule t ~delay f] runs [f] at [now t +. delay]. Raises
+    [Invalid_argument] unless [delay >= 0] (so also on NaN). *)
 val schedule : t -> delay:float -> (unit -> unit) -> unit
 
-(** [schedule_at t ~time f] runs [f] at absolute [time] (clamped to now). *)
+(** [schedule_at t ~time f] runs [f] at absolute [time] (clamped to now).
+    Raises [Invalid_argument] on a NaN [time]: it has no place in the
+    (time, sequence) order the queue relies on. *)
 val schedule_at : t -> time:float -> (unit -> unit) -> unit
 
 (** [run_until t ~time] processes every event scheduled strictly before
-    [time], then sets the clock to [time]. *)
+    [time], then advances the clock to [time] (never backwards). Raises
+    [Invalid_argument] on a NaN [time]. *)
 val run_until : t -> time:float -> unit
 
 (** [run t] processes events until the queue drains. *)

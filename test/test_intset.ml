@@ -72,15 +72,6 @@ let test_union_into_aliasing_and_subset () =
   Intset.union_into ~into:b (Intset.of_list (List.init 40 (fun i -> (2 * i) + 1)));
   check_elems "growth past several doublings" (List.init 80 Fun.id) (Intset.elements b)
 
-(* Minor words allocated by [f ()] beyond the cost of measuring. *)
-let minor_words_of f =
-  let measure g =
-    let before = Gc.minor_words () in
-    g ();
-    Gc.minor_words () -. before
-  in
-  measure f -. measure ignore
-
 (* Once reference tables have converged, most unions of a replicate
    exchange add nothing; those must not allocate. *)
 let test_union_into_noop_allocates_nothing () =
@@ -88,7 +79,7 @@ let test_union_into_noop_allocates_nothing () =
     let into = Intset.of_list (List.init 44 (fun i -> 3 * i)) in
     let subset = Intset.of_list (List.init 20 (fun i -> 6 * i)) in
     let w =
-      minor_words_of (fun () ->
+      Test_util.minor_words_of (fun () ->
           for _ = 1 to 1000 do
             Intset.union_into ~into subset;
             Intset.union_into ~into into

@@ -366,6 +366,17 @@ let test_storm_breaker_opens () =
   checkb "circuits opened" true (s.Storm.breaker_opens > 0);
   checkb "open circuits skipped on later walks" true (s.Storm.breaker_skips > 0)
 
+let test_storm_rejects_nan () =
+  List.iter
+    (fun (name, cfg) ->
+      Alcotest.check_raises name (Invalid_argument ("Storm.create: " ^ name)) (fun () ->
+          ignore (storm_setup ~cfg 21)))
+    [
+      ("req_timeout must be positive", { Storm.default_config with req_timeout = nan });
+      ("backoff must be >= 1", { Storm.default_config with backoff = nan });
+      ("hedge_after must be positive", { Storm.default_config with hedge_after = Some nan });
+    ]
+
 (* Storm fingerprint, pinned from the run before the hop state became a
    flat record and the event heap 4-ary: a 300-peer protected storm whose
    burst exceeds the service knee, so every defence fires, with a churn
@@ -893,6 +904,7 @@ let suite =
       test_storm_hedge_dodges_dead_primary;
     Alcotest.test_case "storm breaker opens" `Quick test_storm_breaker_opens;
     Alcotest.test_case "storm fingerprint" `Quick test_storm_fingerprint;
+    Alcotest.test_case "storm rejects NaN" `Quick test_storm_rejects_nan;
     Alcotest.test_case "lookup batch nobody online" `Quick
       test_lookup_batch_nobody_online;
     Alcotest.test_case "range batch nobody online" `Quick

@@ -155,15 +155,6 @@ let test_reference_stream () =
       check Alcotest.int64 (msg "split parent") r.split_parent (Rng.bits64 g))
     reference
 
-(* Minor words allocated by [f ()] beyond the cost of measuring. *)
-let minor_words_of f =
-  let measure g =
-    let before = Gc.minor_words () in
-    g ();
-    Gc.minor_words () -. before
-  in
-  measure f -. measure ignore
-
 (* [int] and [bool] return immediates, so a draw through them allocates
    nothing at all.  [float] is inlined where the compiler may inline
    across modules; where it may not (dune's default profile compiles with
@@ -177,7 +168,7 @@ let test_draws_allocate_nothing () =
     let words name ~max f =
       (* Warm up once so a lazily initialised path is not counted. *)
       f ();
-      let w = minor_words_of f in
+      let w = Test_util.minor_words_of f in
       if w < 0. || w > max then
         Alcotest.failf "%s: %.0f minor words over %d draws (at most %.0f allowed)" name w n
           max
@@ -193,6 +184,12 @@ let test_draws_allocate_nothing () =
     words "float" ~max:(2. *. float_of_int n) (fun () ->
         for _ = 1 to n do
           ignore (Sys.opaque_identity (Rng.float rng < 2.))
+        done);
+    (* Two uniform draws and the result: three boxes where floats cross
+       module boundaries, and nothing for the rejection loop. *)
+    words "Sample.normal" ~max:(6. *. float_of_int n) (fun () ->
+        for _ = 1 to n do
+          ignore (Sys.opaque_identity (Sample.normal rng ~mu:0. ~sigma:1. < 0.))
         done)
   end
 

@@ -87,6 +87,72 @@ let test_sim_many_events () =
 
 (* --- Latency ------------------------------------------------------------ *)
 
+(* Regression: NaN compares false against everything, so it broke the
+   (time, seq) order.  Scheduled among these delays it ran the clock
+   backwards (1 -> 0.5) and fired between 4 and 5. *)
+let test_sim_rejects_nan () =
+  let sim = Sim.create () in
+  let fired = ref [] in
+  List.iter
+    (fun delay ->
+      if Float.is_nan delay then
+        Alcotest.check_raises "NaN delay refused" (Invalid_argument "Sim.schedule: delay is NaN")
+          (fun () -> Sim.schedule sim ~delay ignore)
+      else Sim.schedule sim ~delay (fun () -> fired := Sim.now sim :: !fired))
+    [ 5.; 1.; nan; 4.; 2.; 3.; 0.5 ];
+  Alcotest.check_raises "NaN time refused" (Invalid_argument "Sim.schedule_at: time is NaN")
+    (fun () -> Sim.schedule_at sim ~time:nan ignore);
+  Alcotest.check_raises "NaN horizon refused" (Invalid_argument "Sim.run_until: time is NaN")
+    (fun () -> Sim.run_until sim ~time:nan);
+  Sim.run sim;
+  Alcotest.(check (list (float 0.))) "clock never runs backwards" [ 0.5; 1.; 2.; 3.; 4.; 5. ]
+    (List.rev !fired)
+
+(* Popping pre-scheduled events allocates nothing: the clock is stored
+   unboxed and the heap moves only what it already holds. *)
+let test_sim_run_allocates_nothing () =
+  if Sys.backend_type = Sys.Native then begin
+    let sim = Sim.create () in
+    let count = ref 0 in
+    let f () = incr count in
+    for i = 1 to 20_000 do
+      Sim.schedule sim ~delay:(float_of_int (i * 7919 mod 1000)) f
+    done;
+    let w = Test_util.minor_words_of (fun () -> Sim.run sim) in
+    checki "every event ran" 20_000 !count;
+    Alcotest.(check (float 0.)) "minor words over 20000 pops" 0. w
+  end
+
+(* A 4-ary heap pops in exactly (time, seq) order: compare against a
+   sort of the same events, ties included, across interleaved pushes
+   and pops. *)
+let test_sim_matches_sorted_order () =
+  let sim = Sim.create () in
+  let rng = Rng.create ~seed:9 in
+  let log = ref [] in
+  let expected = ref [] in
+  let seq = ref 0 in
+  let push () =
+    let time = Sim.now sim +. float_of_int (Rng.int rng 50) in
+    let id = !seq in
+    incr seq;
+    expected := (time, id) :: !expected;
+    Sim.schedule_at sim ~time (fun () -> log := (Sim.now sim, id) :: !log)
+  in
+  for _ = 1 to 3000 do
+    push ()
+  done;
+  for _ = 1 to 40 do
+    Sim.run_until sim ~time:(Sim.now sim +. 1.);
+    for _ = 1 to 50 do
+      push ()
+    done
+  done;
+  Sim.run sim;
+  Alcotest.(check (list (pair (float 0.) int)))
+    "pop order is the (time, seq) order"
+    (List.sort compare !expected) (List.rev !log)
+
 let test_latency_fixed () =
   let rng = Rng.create ~seed:2 in
   close "fixed" 0.25 (Latency.sample (Latency.Fixed 0.25) rng)
@@ -324,6 +390,50 @@ let make_breaker ?(failures = 3) ?(cooldown = 10.) () =
     Breaker.create { Breaker.failures; cooldown } ~now:(fun () -> !now)
   in
   (now, br)
+
+let test_net_rejects_nan () =
+  let create ?service ~loss ~bucket () =
+    ignore
+      (Net.create ?service (Sim.create ()) (Rng.create ~seed:1) ~nodes:2
+         ~latency:(Latency.Fixed 0.1) ~loss ~bucket)
+  in
+  Alcotest.check_raises "NaN loss" (Invalid_argument "Net.create: loss must be in [0, 1)")
+    (fun () -> create ~loss:nan ~bucket:1. ());
+  Alcotest.check_raises "NaN bucket" (Invalid_argument "Net.create: bucket must be positive")
+    (fun () -> create ~loss:0. ~bucket:nan ());
+  Alcotest.check_raises "NaN service rate"
+    (Invalid_argument "Net.create: service_rate must be positive") (fun () ->
+      create ~service:{ Net.default_overload with Net.service_rate = nan } ~loss:0. ~bucket:1. ())
+
+let test_breaker_rejects_nan () =
+  Alcotest.check_raises "NaN cool-down"
+    (Invalid_argument "Breaker.create: cooldown must be positive") (fun () ->
+      ignore (make_breaker ~cooldown:nan ()))
+
+(* The hot path of a healthy link — admit, then record the success —
+   allocates nothing: pairs are packed into int keys, and a pair never
+   seen before is found absent without an option. *)
+let test_breaker_closed_allocates_nothing () =
+  if Sys.backend_type = Sys.Native then begin
+    let _now, br = make_breaker () in
+    Breaker.record_failure br ~origin:1 ~target:2;
+    Breaker.record_success br ~origin:1 ~target:2;
+    let w =
+      Test_util.minor_words_of (fun () ->
+          for i = 1 to 5_000 do
+            let target = 2 + (i land 1) in
+            if Breaker.admits br ~origin:1 ~target then Breaker.record_success br ~origin:1 ~target
+          done)
+    in
+    Alcotest.(check (float 0.)) "minor words over 5000 admitted successes" 0. w
+  end
+
+let test_breaker_rejects_bad_ids () =
+  let _now, br = make_breaker () in
+  Alcotest.check_raises "negative id" (Invalid_argument "Breaker: node ids must be in [0, 2^31)")
+    (fun () -> ignore (Breaker.admits br ~origin:(-1) ~target:0));
+  Alcotest.check_raises "id past 2^31" (Invalid_argument "Breaker: node ids must be in [0, 2^31)")
+    (fun () -> Breaker.record_failure br ~origin:0 ~target:(1 lsl 31))
 
 let test_breaker_opens_after_k () =
   let _now, br = make_breaker ~failures:3 () in
@@ -789,6 +899,9 @@ let suite =
     Alcotest.test_case "nested scheduling" `Quick test_sim_nested_schedule;
     Alcotest.test_case "negative delay" `Quick test_sim_negative_delay;
     Alcotest.test_case "many events" `Quick test_sim_many_events;
+    Alcotest.test_case "sim rejects NaN" `Quick test_sim_rejects_nan;
+    Alcotest.test_case "sim run allocates nothing" `Quick test_sim_run_allocates_nothing;
+    Alcotest.test_case "sim matches sorted order" `Quick test_sim_matches_sorted_order;
     Alcotest.test_case "fixed latency" `Quick test_latency_fixed;
     Alcotest.test_case "latency floor" `Quick test_latency_floor;
     Alcotest.test_case "planetlab model" `Quick test_latency_planetlab_positive;
@@ -804,6 +917,11 @@ let suite =
     Alcotest.test_case "service shed event" `Quick test_service_shed_event;
     Alcotest.test_case "account default tags" `Quick test_net_account_default_tags;
     Alcotest.test_case "offline source events" `Quick test_net_offline_source_events;
+    Alcotest.test_case "net rejects NaN" `Quick test_net_rejects_nan;
+    Alcotest.test_case "breaker rejects NaN" `Quick test_breaker_rejects_nan;
+    Alcotest.test_case "breaker closed allocates nothing" `Quick
+      test_breaker_closed_allocates_nothing;
+    Alcotest.test_case "breaker rejects bad ids" `Quick test_breaker_rejects_bad_ids;
     Alcotest.test_case "breaker opens after k" `Quick test_breaker_opens_after_k;
     Alcotest.test_case "breaker success resets" `Quick test_breaker_success_resets_count;
     Alcotest.test_case "breaker half-open probe" `Quick test_breaker_half_open_probe;
