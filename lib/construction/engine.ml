@@ -182,26 +182,6 @@ let mark_fruitless t i =
   t.fruitless.(i) <- t.fruitless.(i) + 1;
   if t.fruitless.(i) >= t.config.max_fruitless then t.active.(i) <- false
 
-(* One uniform draw over the online references at [level], skipping
-   [excluding]: count the eligible entries, then scan to the drawn rank.
-   No intermediate list — reference picking sits on every routing hop. *)
-let pick_online_ref t n ~level ~excluding =
-  let eligible r = r <> excluding && (node t r).Node.online in
-  let count =
-    Node.refs_fold n ~level (fun acc r -> if eligible r then acc + 1 else acc) 0
-  in
-  if count = 0 then None
-  else begin
-    let target = Rng.int t.rng count in
-    let seen = ref 0 and chosen = ref (-1) in
-    Node.refs_iter n ~level (fun r ->
-        if eligible r then begin
-          if !seen = target then chosen := r;
-          incr seen
-        end);
-    Some !chosen
-  end
-
 let probabilities t ~p_hat ~samples =
   let clamped = Aep_math.clamp_estimate ~samples:(max 1 samples) p_hat in
   let p_eff, flipped = Aep_math.normalize clamped in
@@ -232,14 +212,11 @@ let deliver t ~at key payloads =
   let rec hop prev i budget =
     note_key_moved t ~src:prev ~dst:i;
     let n = node t i in
-    if Path.matches_key n.Node.path key || budget = 0 then ingest i
-    else
-      match Overlay.divergence_level n.Node.path key with
-      | None -> ingest i
-      | Some l ->
-        (match pick_online_ref t n ~level:l ~excluding:(-1) with
-        | None -> ingest i
-        | Some r -> hop i r (budget - 1))
+    let l = Overlay.divergence_level n.Node.path key in
+    let r =
+      if l < 0 || budget = 0 then -1 else Overlay.pick_ref t.net t.rng n ~level:l ~excluding:(-1)
+    in
+    if r < 0 then ingest i else hop i r (budget - 1)
   in
   hop at at t.config.refer_hops
 
@@ -469,9 +446,8 @@ let follow_decided t i j =
   else begin
     (* Copy a minority-side reference from [j] (AEP invariant: it holds
        one from its own decision at this level). *)
-    match pick_online_ref t nj ~level ~excluding:(-1) with
-    | None -> mark_fruitless t i
-    | Some r -> decide majority r
+    let r = Overlay.pick_ref t.net t.rng nj ~level ~excluding:(-1) in
+    if r < 0 then mark_fruitless t i else decide majority r
   end
   end
 
@@ -491,57 +467,30 @@ let rec locate t i j hops =
       note_refer t ~src:i ~dst:j ~level:cpl;
       Node.add_ref (node t i) ~level:cpl j;
       Node.add_ref (node t j) ~level:cpl i;
-      match pick_online_ref t (node t j) ~level:cpl ~excluding:i with
-      | None -> None
-      | Some r -> locate t i r (hops + 1)
+      let r = Overlay.pick_ref t.net t.rng (node t j) ~level:cpl ~excluding:i in
+      if r < 0 then None else locate t i r (hops + 1)
     end
   end
-
-let random_online_peer t ~excluding =
-  let n = Overlay.size t.net in
-  let rec try_ attempts =
-    if attempts = 0 then None
-    else begin
-      let j = Rng.int t.rng n in
-      if j <> excluding && (node t j).Node.online then Some j else try_ (attempts - 1)
-    end
-  in
-  try_ (4 * n)
 
 let interact t i =
   let ni = node t i in
   if ni.Node.online then begin
+    (* Prefer known replicas half of the time (peers keep the references
+       gathered after splits); otherwise a random online peer.  The coin
+       is drawn between the count and the rank. *)
+    let replicas = ni.Node.replicas in
+    let online = Overlay.usable_count t.net ~src:i replicas ~excluding:(-1) in
     let first =
-      (* Prefer known replicas half of the time (peers keep the references
-         gathered after splits); otherwise a random-walk peer. *)
-      let online =
-        Pgrid_core.Intset.fold
-          (fun acc r -> if (node t r).Node.online then acc + 1 else acc)
-          0 ni.Node.replicas
-      in
-      if online > 0 && Rng.bool t.rng then begin
-        let target = Rng.int t.rng online in
-        let seen = ref 0 and chosen = ref (-1) in
-        Pgrid_core.Intset.iter
-          (fun r ->
-            if (node t r).Node.online then begin
-              if !seen = target then chosen := r;
-              incr seen
-            end)
-          ni.Node.replicas;
-        Some !chosen
-      end
-      else random_online_peer t ~excluding:i
+      if online > 0 && Rng.bool t.rng then
+        Overlay.usable_nth t.net ~src:i replicas ~excluding:(-1) (Rng.int t.rng online)
+      else Overlay.random_online t.net t.rng ~excluding:i
     in
-    match first with
+    match if first < 0 then None else locate t i first 0 with
     | None -> mark_fruitless t i
-    | Some first ->
-      (match locate t i first 0 with
-      | None -> mark_fruitless t i
-      | Some j ->
-        let li = Path.length (node t i).Node.path
-        and lj = Path.length (node t j).Node.path in
-        if li = lj then same_partition t i j
-        else if li < lj then follow_decided t i j
-        else follow_decided t j i)
+    | Some j ->
+      let li = Path.length (node t i).Node.path
+      and lj = Path.length (node t j).Node.path in
+      if li = lj then same_partition t i j
+      else if li < lj then follow_decided t i j
+      else follow_decided t j i
   end

@@ -221,13 +221,13 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
   Array.iteri
     (fun i own ->
       let n = Overlay.node overlay i in
-      n.Node.online <- false;
+      Node.set_online n false;
       Array.iter (Node.ensure_key n) own)
     assignments;
   let graph = Unstructured.create (Rng.split rng) ~nodes:params.peers ~degree:params.degree in
   let set_online i v =
     let was = (Overlay.node overlay i).Node.online in
-    (Overlay.node overlay i).Node.online <- v;
+    Node.set_online (Overlay.node overlay i) v;
     Net.set_online net i v;
     if was <> v && Telemetry.active tel then
       Telemetry.emit tel
@@ -438,9 +438,9 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
       if budget = 0 then false
       else begin
         let n = Overlay.node overlay cur in
-        match Overlay.divergence_level n.Node.path key with
-        | None -> true (* responsible peer reached *)
-        | Some level ->
+        let level = Overlay.divergence_level n.Node.path key in
+        if level < 0 then true (* responsible peer reached *)
+        else begin
           let refs = Node.refs_array n ~level in
           Rng.shuffle rng refs;
           let rec try_refs idx =
@@ -460,6 +460,7 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
             end
           in
           try_refs 0
+        end
       end
     in
     let success = route origin (4 * Key.bits) in
@@ -503,13 +504,13 @@ let run ?(telemetry = Pgrid_telemetry.Global.get ()) rng params ~spec =
     let rec route cur budget =
       if budget = 0 then finish false
       else begin
-        match Overlay.divergence_level (Overlay.node overlay cur).Node.path key with
-        | None ->
+        let level = Overlay.divergence_level (Overlay.node overlay cur).Node.path key in
+        if level < 0 then begin
           (* Responsible peer reached; the response flows back. *)
           account ~src:cur ~dst:origin ~bytes:params.header_bytes ~kind:Net.Query ();
           finish true
-        | Some level ->
-          try_refs cur level budget ~refreshed:false (snapshot cur level)
+        end
+        else try_refs cur level budget ~refreshed:false (snapshot cur level)
       end
     and try_refs cur level budget ~refreshed = function
       | [] ->

@@ -43,16 +43,17 @@ let node st i = Overlay.node st.overlay i
 let route st entry key =
   let rec go cur guard =
     let n = node st cur in
-    match Overlay.divergence_level n.Node.path key with
-    | None -> cur
-    | Some level when guard > 0 -> (
-      match Node.refs_at n ~level with
-      | [] -> cur
-      | refs ->
-        st.messages <- st.messages + 1;
-        st.latency <- st.latency + 1;
-        go (Rng.pick_list st.rng refs) (guard - 1))
-    | Some _ -> cur
+    let level = Overlay.divergence_level n.Node.path key in
+    let next =
+      if level < 0 || guard <= 0 then -1
+      else Overlay.pick_ref st.overlay st.rng n ~level ~excluding:(-1)
+    in
+    if next < 0 then cur
+    else begin
+      st.messages <- st.messages + 1;
+      st.latency <- st.latency + 1;
+      go next (guard - 1)
+    end
   in
   go entry (4 * Key.bits)
 

@@ -85,12 +85,8 @@ let check ?(keys = [||]) ?(docs = [||]) ?(versions = false) ~n_min overlay =
     if n.Node.online then
       for level = 0 to Path.length n.Node.path - 1 do
         incr levels_checked;
-        let live =
-          Node.refs_fold n ~level
-            (fun acc r -> acc || (node overlay r).Node.online)
-            false
-        in
-        if (not live) && inhabited (Path.complement_at n.Node.path level) then
+        let live = Overlay.usable_refs overlay n ~level ~excluding:(-1) in
+        if live = 0 && inhabited (Path.complement_at n.Node.path level) then
           refv := Ref_integrity { peer = i; level } :: !refv
       done
   done;

@@ -13,6 +13,10 @@ val cardinal : t -> int
 val is_empty : t -> bool
 val mem : t -> int -> bool
 
+(** [get t i] is the [i]-th smallest member (from 0).
+    @raise Invalid_argument unless [0 <= i < cardinal t]. *)
+val get : t -> int -> int
+
 (** [add t x] inserts [x]; duplicates are ignored. *)
 val add : t -> int -> unit
 

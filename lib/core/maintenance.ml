@@ -183,7 +183,7 @@ let leave ?(telemetry = Pgrid_telemetry.Global.get ()) rng overlay id =
       n.Node.store;
     (* Departure announcement: replicas forget the leaver. *)
     farewell overlay id;
-    n.Node.online <- false;
+    Node.set_online n false;
     if Telemetry.active telemetry then begin
       Telemetry.emit telemetry (Event.Peer_leave { peer = id; pushed = !pushed });
       Telemetry.emit telemetry (Event.Churn_offline { peer = id })
@@ -202,7 +202,7 @@ let join ?(telemetry = Pgrid_telemetry.Global.get ()) rng overlay id ~entry =
   | None -> None
   | Some host_id ->
     adopt overlay ~host_id ~peer:id;
-    n.Node.online <- true;
+    Node.set_online n true;
     purge_stale_refs rng overlay id;
     if Telemetry.active telemetry then begin
       Telemetry.emit telemetry (Event.Peer_join { peer = id; hops = probe.Overlay.hops });
@@ -461,11 +461,9 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
       tombstones_purged = 0;
     }
   in
-  (* The reachability gate: [None] admits every edge via a constant-true
-     test applied inside the same scans, so it changes no draw. *)
-  let adm =
-    match cfg.admit with None -> fun _ _ -> true | Some f -> f
-  in
+  (* The reachability gate: [None] admits every edge, and lets the
+     routing draw take its fast path. *)
+  let adm = Option.value cfg.admit ~default:Overlay.admit_all in
   let next_delay () =
     cfg.period *. (1. +. (cfg.jitter *. ((2. *. Rng.float rng) -. 1.)))
   in
@@ -476,17 +474,8 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
     let n = node overlay i in
     if n.Node.online then begin
       stats.ticks <- stats.ticks + 1;
-      let partners =
-        List.rev
-          (Intset.fold
-             (fun acc r ->
-               if (node overlay r).Node.online && adm i r then r :: acc else acc)
-             [] n.Node.replicas)
-      in
-      (match partners with
-      | [] -> ()
-      | partners -> (
-        let b = Rng.pick_list rng partners in
+      let b = Overlay.pick ~admit:adm overlay rng ~src:i n.Node.replicas ~excluding:(-1) in
+      (if b >= 0 then
         match cfg.reconcile with
         | None ->
           let copied =
@@ -512,7 +501,7 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
                      copied = r.Reconcile.copied;
                      tombstoned = r.Reconcile.tombstoned;
                    })
-          end));
+          end);
       let plen = Path.length n.Node.path in
       if plen > 0 then begin
         let level = Rng.int rng plen in
@@ -526,9 +515,7 @@ let install_daemon ?(telemetry = Pgrid_telemetry.Global.get ())
            refills; otherwise we just top up *online* coverage to
            [redundancy] from the complement. *)
         let online_refs () =
-          Node.refs_fold n ~level
-            (fun acc r -> if (node overlay r).Node.online then acc + 1 else acc)
-            0
+          Overlay.usable_refs overlay n ~level ~excluding:(-1)
         in
         if online_refs () = 0 && Node.refs_count n ~level > 0 then
           stats.refs_evicted <-

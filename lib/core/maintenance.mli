@@ -136,8 +136,9 @@ type daemon_config = {
           refresh candidates and balance passes only see peers the
           filter admits, so an open network partition maintains itself
           as two independent islands rather than through walls the data plane
-          cannot cross.  [None] (the default) admits everyone and
-          leaves the daemon's RNG draw sequence bit-identical *)
+          cannot cross.  It must be pure, as for {!Overlay.pick}.  [None]
+          (the default) admits everyone and leaves the daemon's RNG draw
+          sequence bit-identical *)
   reconcile : Reconcile.config option;
       (** post-partition reconciliation (see {!Reconcile}): replaces the
           per-peer {!Overlay.anti_entropy_pair} exchange with the

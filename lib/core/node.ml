@@ -5,6 +5,8 @@ type id = int
 
 type meta = { mutable version : int; mutable dead : bool; mutable stamp : float }
 
+type liveness = { mutable offline : int }
+
 type t = {
   id : id;
   mutable path : Path.t;
@@ -13,6 +15,7 @@ type t = {
   vers : meta Keytbl.t;
   replicas : Intset.t;
   mutable online : bool;
+  live : liveness;
   mutable zero_keys : int;
 }
 
@@ -20,7 +23,9 @@ type t = {
    a table of real entries always carries its values array. *)
 let no_meta = { version = 0; dead = false; stamp = 0. }
 
-let create ~id =
+let liveness () = { offline = 0 }
+
+let create_in live ~id =
   {
     id;
     path = Path.root;
@@ -29,8 +34,17 @@ let create ~id =
     vers = Keytbl.create ~empty:no_meta 8;
     replicas = Intset.create ();
     online = true;
+    live;
     zero_keys = 0;
   }
+
+let create ~id = create_in (liveness ()) ~id
+
+let set_online t v =
+  if t.online <> v then begin
+    t.online <- v;
+    t.live.offline <- (if v then t.live.offline - 1 else t.live.offline + 1)
+  end
 
 (* Version metadata is a sidecar: the legacy store never reads it, so
    maintaining it costs nothing observable (and no RNG) unless a
@@ -191,9 +205,6 @@ let refs_array t ~level = if in_range t level then Intset.to_array t.refs.(level
 
 let refs_iter t ~level f =
   if in_range t level then Intset.iter f t.refs.(level)
-
-let refs_fold t ~level f acc =
-  if in_range t level then Intset.fold f acc t.refs.(level) else acc
 
 let has_ref t ~level peer = in_range t level && Intset.mem t.refs.(level) peer
 let remove_ref t ~level peer = if in_range t level then Intset.remove t.refs.(level) peer

@@ -35,12 +35,25 @@ type id = int
     zero-metadata case, not a special case. *)
 type meta = { mutable version : int; mutable dead : bool; mutable stamp : float }
 
-type t = {
+(** An exact count of the offline nodes that share this record.  Every
+    node of one {!Overlay} shares its overlay's record; a node made with
+    {!create} has a record of its own. *)
+type liveness = private { mutable offline : int }
+
+(** [t] is [private]: code outside this module reads every field but
+    assigns none, so each invariant below has exactly one writer.  For
+    [online] that writer is {!set_online}, which keeps the shared
+    {!liveness} count exact; routing reads that count to skip the
+    per-reference liveness scan when no peer is offline
+    ({!Overlay.pick_ref}). *)
+type t = private {
   id : id;
   mutable path : Pgrid_keyspace.Path.t;
   mutable refs : Intset.t array;
-      (** [refs.(l)]: peers in the complement at level [l]; the array has
-          at least [Path.length path] used slots *)
+      (** [refs.(l)]: peers in the complement at level [l].  Only
+          {!add_ref}, {!set_refs} and {!reset_refs} grow the array, so it
+          may be shorter than the path: check the bound, or use the
+          accessors below *)
   store : string list Keytbl.t;
       (** key -> payloads (e.g. posting lists); multiple payloads per key,
           kept sorted and duplicate-free so mutation is a single early-exit
@@ -51,14 +64,28 @@ type t = {
           key (that is the tombstone).  Read-only outside this module —
           mutate via {!note_write}/{!note_delete}/{!drop_meta}. *)
   replicas : Intset.t;  (** known peers sharing this node's path *)
-  mutable online : bool;
+  mutable online : bool;  (** change via {!set_online} only *)
+  live : liveness;  (** shared with every node of the same overlay *)
   mutable zero_keys : int;
       (** distinct stored keys with bit 0 at level [Path.length path];
           maintained incrementally, read via {!zero_count} *)
 }
 
-(** [create ~id] starts at the root path with an empty store. *)
+(** [liveness ()] is a fresh record with no offline node. *)
+val liveness : unit -> liveness
+
+(** [create_in live ~id] starts online at the root path with an empty
+    store, counted in [live]. *)
+val create_in : liveness -> id:id -> t
+
+(** [create ~id] is [create_in (liveness ()) ~id]: a node counted on its
+    own. *)
 val create : id:id -> t
+
+(** [set_online t v] sets [t]'s liveness and keeps its {!liveness}
+    record's offline count exact; writing the current value changes
+    nothing.  The only way to change [online]. *)
+val set_online : t -> bool -> unit
 
 (** [insert t key payload] records [payload] under [key]; duplicate
     payloads under the same key are ignored. *)
@@ -132,7 +159,8 @@ val zero_count : t -> int
 val add_ref : t -> level:int -> id -> unit
 
 (** [refs_at t ~level] is the sorted (possibly empty) reference list at
-    [level].  Allocates; hot paths should use {!refs_fold}/{!refs_iter}. *)
+    [level].  Allocates; hot paths should use {!refs_iter} or
+    {!Overlay.pick_ref}. *)
 val refs_at : t -> level:int -> id list
 
 val refs_count : t -> level:int -> int
@@ -141,7 +169,6 @@ val refs_count : t -> level:int -> int
     (callers may permute it freely). *)
 val refs_array : t -> level:int -> id array
 val refs_iter : t -> level:int -> (id -> unit) -> unit
-val refs_fold : t -> level:int -> ('a -> id -> 'a) -> 'a -> 'a
 val has_ref : t -> level:int -> id -> bool
 val remove_ref : t -> level:int -> id -> unit
 

@@ -25,16 +25,19 @@ type t = {
          either side of a partition are totally ordered per overlay and
          newest-write-wins is well defined after heal *)
   mutable watchers : (change -> unit) list;
+  live : Node.liveness;  (* shared by every node, kept by [Node.set_online] *)
 }
 
 let create rng ~n =
   if n < 1 then invalid_arg "Overlay.create: n must be >= 1";
+  let live = Node.liveness () in
   {
-    nodes = Array.init n (fun id -> Node.create ~id);
+    nodes = Array.init n (fun id -> Node.create_in live ~id);
     count = n;
     rng;
     clock = 0;
     watchers = [];
+    live;
   }
 
 let subscribe t f = t.watchers <- f :: t.watchers
@@ -59,7 +62,7 @@ let add_peer t =
     Array.blit t.nodes 0 grown 0 cap;
     t.nodes <- grown
   end;
-  let n = Node.create ~id:t.count in
+  let n = Node.create_in t.live ~id:t.count in
   t.nodes.(t.count) <- n;
   t.count <- t.count + 1;
   n
@@ -73,12 +76,19 @@ let exists t p =
   let rec go i = i < t.count && (p t.nodes.(i) || go (i + 1)) in
   go 0
 
-let online_count t =
-  let acc = ref 0 in
-  for i = 0 to t.count - 1 do
-    if t.nodes.(i).Node.online then incr acc
-  done;
-  !acc
+let offline_count t = t.live.Node.offline
+let online_count t = t.count - t.live.Node.offline
+
+(* Rejection sampling over every id, even where the offline count could
+   answer sooner: the number of draws is part of every seeded result. *)
+let random_online t rng ~excluding =
+  let rec go attempts =
+    if attempts = 0 then -1
+    else
+      let i = Rng.int rng t.count in
+      if i <> excluding && t.nodes.(i).Node.online then i else go (attempts - 1)
+  in
+  go (4 * t.count)
 
 type search_result = {
   responsible : Node.id option;
@@ -88,55 +98,90 @@ type search_result = {
   dead_end : (Node.id * int) option;
 }
 
-(* First level at which [path] disagrees with [key], if any. *)
-let divergence_level path key =
-  let len = Path.length path in
-  let rec go l =
-    if l >= len then None
-    else if Path.bit path l <> Key.bit key l then Some l
-    else go (l + 1)
-  in
-  go 0
+let divergence_level = Path.divergence
 
 (* Every routed operation admits every edge by default; a caller
-   modelling a live partition passes the cut as [admit src dst].  The
-   default is the constant-true test applied inside the same
-   count-then-scan passes, so it changes no draw and no outcome. *)
+   modelling a live partition passes the cut as [admit src dst]. *)
+type admit = Node.id -> Node.id -> bool
+
 let admit_all (_ : Node.id) (_ : Node.id) = true
 
-(* Forward one step toward [key]: choose a random online reference at the
-   divergence level.  Count-then-scan over the reference set keeps this
-   allocation-free (one uniform draw, no intermediate list). *)
-let forward ?(admit = admit_all) t cur key =
-  match divergence_level cur.Node.path key with
-  | None -> `Responsible
-  | Some level ->
-    let usable id = (node t id).Node.online && admit cur.Node.id id in
-    let online =
-      Node.refs_fold cur ~level (fun acc id -> if usable id then acc + 1 else acc) 0
-    in
-    if online = 0 then `Dead_end level
-    else begin
-      let target = Rng.int t.rng online in
-      let seen = ref 0 and chosen = ref (-1) in
-      Node.refs_iter cur ~level (fun id ->
-          if usable id then begin
-            if !seen = target then chosen := id;
-            incr seen
-          end);
-      `Next !chosen
-    end
+(* The routing draw: one uniform pick among the members of [set] that
+   are online, admitted from [src] and not [excluding], by rank in
+   ascending id order.  With no peer offline and the default [admit]
+   every member but [excluding] is usable, so the count is the set's
+   cardinal and the drawn rank indexes the sorted set directly: the
+   same draw picks the same peer as the scan, without reading one node
+   record. *)
+let fast t admit = t.live.Node.offline = 0 && admit == admit_all
+
+(* The slow path: with [rank < 0], count the usable members; otherwise
+   return the one of that rank, or -1. *)
+let scan t admit ~src set ~excluding rank =
+  let seen = ref 0 and i = ref 0 and chosen = ref (-1) in
+  while !chosen < 0 && !i < Intset.cardinal set do
+    let id = Intset.get set !i in
+    if id <> excluding && (node t id).Node.online && admit src id then begin
+      if !seen = rank then chosen := id;
+      incr seen
+    end;
+    incr i
+  done;
+  if rank < 0 then !seen else !chosen
+
+let usable_count ?(admit = admit_all) t ~src set ~excluding =
+  if fast t admit then
+    Intset.cardinal set - (if excluding >= 0 && Intset.mem set excluding then 1 else 0)
+  else scan t admit ~src set ~excluding (-1)
+
+let usable_nth ?(admit = admit_all) t ~src set ~excluding rank =
+  if rank < 0 then invalid_arg "Overlay.usable_nth: negative rank";
+  if fast t admit then begin
+    let id = Intset.get set rank in
+    if id >= excluding && excluding >= 0 && Intset.mem set excluding then
+      Intset.get set (rank + 1)
+    else id
+  end
+  else begin
+    let id = scan t admit ~src set ~excluding rank in
+    if id < 0 then invalid_arg "Overlay.usable_nth: rank out of range";
+    id
+  end
+
+let pick ?admit t rng ~src set ~excluding =
+  let count = usable_count ?admit t ~src set ~excluding in
+  if count = 0 then -1 else usable_nth ?admit t ~src set ~excluding (Rng.int rng count)
+
+let has_level n level = level >= 0 && level < Array.length n.Node.refs
+
+let usable_refs ?admit t n ~level ~excluding =
+  if has_level n level then usable_count ?admit t ~src:n.Node.id n.Node.refs.(level) ~excluding
+  else 0
+
+let pick_ref ?admit t rng n ~level ~excluding =
+  if has_level n level then pick ?admit t rng ~src:n.Node.id n.Node.refs.(level) ~excluding
+  else -1
+
+(* Forward one step toward [key]: a random usable reference at the
+   divergence level.  The draw allocates nothing; the [`Next] result
+   does. *)
+let forward ?admit t cur key =
+  let level = divergence_level cur.Node.path key in
+  if level < 0 then `Responsible
+  else
+    let id = pick_ref ?admit t t.rng cur ~level ~excluding:(-1) in
+    if id < 0 then `Dead_end level else `Next id
 
 let max_hops = 2 * Key.bits
 
-let search ?(admit = admit_all) t ~from key =
+let search ?admit t ~from key =
   let fail ?at hops =
     { responsible = None; hops; key_present = false; payloads = []; dead_end = at }
   in
   let rec go cur hops =
     if hops > max_hops then fail hops
     else begin
-      match forward ~admit t cur key with
+      match forward ?admit t cur key with
       | `Responsible ->
         {
           responsible = Some cur.Node.id;
@@ -379,7 +424,10 @@ let stats t =
   }
 
 let integrity_errors t =
-  let errors = ref 0 in
+  (* The shared offline count must agree with the nodes it counts. *)
+  let offline = ref 0 in
+  iter t (fun n -> if not n.Node.online then incr offline);
+  let errors = ref (if !offline = t.live.Node.offline then 0 else 1) in
   (* A level may legitimately have no references when nobody populates the
      complement (empty key-space regions are never colonized). *)
   let complement_inhabited prefix =

@@ -51,8 +51,20 @@ val iter : t -> (Node.t -> unit) -> unit
 (** [exists t p] tests whether any node satisfies [p]. *)
 val exists : t -> (Node.t -> bool) -> bool
 
-(** [online_count t] is the number of online nodes. *)
+(** [online_count t] is the number of online nodes; [offline_count t]
+    the number of offline ones.  Both O(1): every node of [t] shares one
+    {!Node.liveness} record, which {!Node.set_online} keeps exact. *)
 val online_count : t -> int
+
+val offline_count : t -> int
+
+(** [random_online t rng ~excluding] draws ids uniformly until one is
+    online and not [excluding], at most [4 * size t] times; [-1] when
+    every draw missed. *)
+val random_online : t -> Pgrid_prng.Rng.t -> excluding:Node.id -> Node.id
+
+(** An edge filter, [admit src dst]: see the routing draw below. *)
+type admit = Node.id -> Node.id -> bool
 
 (** Outcome of a routed lookup. *)
 type search_result = {
@@ -71,31 +83,73 @@ type search_result = {
     exhausting the references of a level or a hop budget of
     [2 * Key.bits]. Offline [from] fails immediately with 0 hops.
 
-    [admit src dst] (default: always [true]) vetoes individual edges —
-    the hook through which a live network partition constrains routing
-    ({!Pgrid_simnet.Fault.connected}).  The default is applied inside the
-    same candidate scan, so omitting it changes no RNG draw. *)
+    [admit src dst] (default {!admit_all}) vetoes individual edges — the
+    hook through which a live network partition constrains routing
+    ({!Pgrid_simnet.Fault.connected}).  It must be pure, as for
+    {!pick}. *)
 val search :
-  ?admit:(Node.id -> Node.id -> bool) ->
+  ?admit:admit ->
   t ->
   from:Node.id ->
   Pgrid_keyspace.Key.t ->
   search_result
 
 (** [divergence_level path key] is the first level at which [path]
-    disagrees with [key], or [None] when [path] is a prefix of [key]
-    (the node is responsible). *)
-val divergence_level :
-  Pgrid_keyspace.Path.t -> Pgrid_keyspace.Key.t -> int option
+    disagrees with [key], or [-1] when [path] is a prefix of [key] (the
+    node is responsible): {!Pgrid_keyspace.Path.divergence}. *)
+val divergence_level : Pgrid_keyspace.Path.t -> Pgrid_keyspace.Key.t -> int
+
+(** {2 The routing draw}
+
+    Every hop of a walk, refer step and hand-over forwards to a uniform
+    draw among the {e usable} members of a reference (or replica) set:
+    online, admitted by [admit src id], and not [excluding] ([-1]
+    excludes nobody).  One [Rng.int] over the usable count picks a rank
+    in ascending id order.  With no peer of [t] offline and [admit]
+    physically {!admit_all}, the count is the set's cardinal and the
+    rank indexes the sorted set: no node record is read and nothing is
+    allocated.  Otherwise a count pass and a scan to the drawn rank
+    pick the same peer for the same draw.
+
+    [admit] must be pure: the scan calls it up to twice per member (to
+    count, then on the way to the rank).  {!Pgrid_simnet.Fault.connected}
+    is pure; [Fault.admits] draws from the RNG and must not be passed. *)
+
+(** The default [admit]: every edge. *)
+val admit_all : admit
+
+(** [usable_count ?admit t ~src set ~excluding] is the count step of
+    {!pick}, for callers that draw something else before the rank. *)
+val usable_count : ?admit:admit -> t -> src:Node.id -> Intset.t -> excluding:Node.id -> int
+
+(** [usable_nth ?admit t ~src set ~excluding rank] is the usable member
+    of rank [rank].  @raise Invalid_argument unless
+    [0 <= rank < usable_count ?admit t ~src set ~excluding]. *)
+val usable_nth :
+  ?admit:admit -> t -> src:Node.id -> Intset.t -> excluding:Node.id -> int -> Node.id
+
+(** [pick ?admit t rng ~src set ~excluding] draws a usable member with
+    one [Rng.int rng count]; [-1], drawing nothing, when none is. *)
+val pick :
+  ?admit:admit -> t -> Pgrid_prng.Rng.t -> src:Node.id -> Intset.t -> excluding:Node.id -> Node.id
+
+(** [usable_refs] and [pick_ref] are {!usable_count} and {!pick} over
+    [node]'s references at [level], from [node] (none when [level] is
+    out of range). *)
+val usable_refs : ?admit:admit -> t -> Node.t -> level:int -> excluding:Node.id -> int
+
+val pick_ref :
+  ?admit:admit -> t -> Pgrid_prng.Rng.t -> Node.t -> level:int -> excluding:Node.id -> Node.id
 
 (** [forward ?admit t cur key] is one routing step of {!search}, exposed
     for query engines that interleave their own bookkeeping (caches,
     batching) with the walk: [`Responsible] when [cur]'s path matches
-    [key], otherwise a uniform draw among [cur]'s usable references at
-    the divergence level ([`Next id]), or [`Dead_end level] when none is
-    online.  Consumes exactly the RNG draws {!search} would. *)
+    [key], otherwise {!pick_ref} at the divergence level with [t]'s RNG
+    ([`Next id]), or [`Dead_end level] when no reference is usable.
+    Consumes exactly the RNG draws {!search} would.  The draw allocates
+    nothing; a [`Next] or [`Dead_end] result is a fresh block. *)
 val forward :
-  ?admit:(Node.id -> Node.id -> bool) ->
+  ?admit:admit ->
   t ->
   Node.t ->
   Pgrid_keyspace.Key.t ->
@@ -129,7 +183,7 @@ val range_search :
     version and records it (with [stamp], default 0, the wall time used
     only to age tombstones) in each written node's sidecar. *)
 val insert :
-  ?admit:(Node.id -> Node.id -> bool) ->
+  ?admit:admit ->
   ?stamp:float ->
   t ->
   from:Node.id ->
@@ -158,7 +212,7 @@ type delete_result = {
     or crash are outvoted by {!Reconcile} instead of resurrected.
     [admit] as for {!search}. *)
 val delete :
-  ?admit:(Node.id -> Node.id -> bool) ->
+  ?admit:admit ->
   ?stamp:float ->
   t ->
   from:Node.id ->
@@ -206,5 +260,7 @@ val stats : t -> stats
 (** [integrity_errors t] counts routing-table violations: a level-[l]
     reference whose path provably does not branch into the complement at
     [l] (references shorter than [l+1] bits cannot be judged and are not
-    counted), plus levels of online nodes with no references at all. *)
+    counted), plus levels of online nodes with no references at all, plus
+    one if the shared offline count ({!offline_count}) disagrees with a
+    recount of the nodes. *)
 val integrity_errors : t -> int

@@ -332,22 +332,24 @@ let scale_metrics rows =
       ])
     rows
 
-let print_micro ~standalone:_ estimates =
+let print_micro ~standalone:_ (estimates, route_pick_words) =
   let fmt decimals = function Some x -> Table.fmt_float ~decimals x | None -> "-" in
   table "hot kernels"
     ( [ "benchmark"; "ns/run"; "r^2" ],
       List.sort compare
         (List.map
            (fun (e : Micro.estimate) -> [ e.kernel; fmt 1 e.ns; fmt 4 e.r_square ])
-           estimates) )
+           estimates) );
+  Printf.printf "route-pick minor words/run: %g\n" route_pick_words
 
-let micro_metrics estimates =
-  List.filter_map
-    (fun (e : Micro.estimate) ->
-      Option.map
-        (fun ns_per_run -> Kernel { name = e.kernel; ns_per_run; r_square = e.r_square })
-        e.ns)
-    estimates
+let micro_metrics (estimates, route_pick_words) =
+  down "route-pick/minor_words" route_pick_words
+  :: List.filter_map
+       (fun (e : Micro.estimate) ->
+         Option.map
+           (fun ns_per_run -> Kernel { name = e.kernel; ns_per_run; r_square = e.r_square })
+           e.ns)
+       estimates
 
 (* --- gates: each named by the predicate it checks ----------------------- *)
 
@@ -640,8 +642,10 @@ let all =
       ~print:(fun ~standalone:_ -> Scale.print)
       ~metrics:scale_metrics;
     v "micro" "Micro-benchmarks (Bechamel)"
-      ~run:(fun ~smoke:_ ~seed ~reps:_ -> Micro.run ~seed ~quota_ms:!micro_quota_ms)
-      ~print:print_micro ~metrics:micro_metrics;
+      ~run:(fun ~smoke:_ ~seed ~reps:_ ->
+        (Micro.run ~seed ~quota_ms:!micro_quota_ms, Micro.route_pick_words ~seed))
+      ~print:print_micro ~metrics:micro_metrics
+      ~gates:[ gate "route-pick/minor_words == 0" (fun v -> v "route-pick/minor_words" = 0.) ];
   ]
 
 let name (E s) = s.name

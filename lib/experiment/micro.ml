@@ -3,6 +3,46 @@
 
 type estimate = { kernel : string; ns : float option; r_square : float option }
 
+(* The routing step's draw at the reference-set size of a 5k-peer
+   index (38 a level on average): one [Overlay.pick_ref] at each of 8
+   levels of one node of a 1000-peer overlay, with every peer online
+   (the count is the set's cardinal) or with every tenth offline (a
+   count pass and a scan). *)
+let route_pick ~seed ~churned =
+  let module Overlay = Pgrid_core.Overlay in
+  let rng = Pgrid_prng.Rng.create ~seed in
+  let overlay = Overlay.create rng ~n:1000 in
+  let node = Overlay.node overlay 0 in
+  for level = 0 to 7 do
+    for _ = 1 to 38 do
+      Pgrid_core.Node.add_ref node ~level (1 + Pgrid_prng.Rng.int rng 999)
+    done
+  done;
+  if churned then
+    for i = 1 to 99 do
+      Pgrid_core.Node.set_online (Overlay.node overlay (10 * i)) false
+    done;
+  fun () ->
+    for level = 0 to 7 do
+      ignore (Overlay.pick_ref overlay rng node ~level ~excluding:(-1))
+    done
+
+(* Minor words one run of [f] allocates, over 1000 runs. *)
+let minor_words f =
+  let measure g =
+    let before = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. before
+  in
+  let runs () =
+    for _ = 1 to 1000 do
+      f ()
+    done
+  in
+  (measure runs -. measure ignore) /. 1000.
+
+let route_pick_words ~seed = minor_words (route_pick ~seed ~churned:false)
+
 let run ~seed ~quota_ms =
   let open Bechamel in
   let open Toolkit in
@@ -170,6 +210,8 @@ let run ~seed ~quota_ms =
         Test.make ~name:"sim-1000-events" (Staged.stage sim_burst);
         Test.make ~name:"sim-heap" (Staged.stage sim_heap);
         Test.make ~name:"breaker-admits" (Staged.stage breaker_admits);
+        Test.make ~name:"route-pick" (Staged.stage (route_pick ~seed ~churned:false));
+        Test.make ~name:"route-pick-churned" (Staged.stage (route_pick ~seed ~churned:true));
         Test.make ~name:"codec-of-term"
           (* A single ~80ns call is dominated by call overhead and GC
              pacing from unrelated fixtures; a batch over varied term

@@ -32,14 +32,27 @@ let complement_at p level =
 
 let is_prefix_of ~prefix:q p = q.len <= p.len && p.bits lsr (p.len - q.len) = q.bits
 
+(* Position of the highest set bit of [x > 0], by binary search over the
+   62 value bits. *)
+let msb x =
+  let rec go x lo width =
+    if width = 0 then lo
+    else if x lsr width <> 0 then go (x lsr width) (lo + width) (width / 2)
+    else go x lo (width / 2)
+  in
+  go x 0 32
+
+(* Two bit strings of equal length [n] first differ where their xor has
+   its highest set bit. *)
+let first_difference n x = if x = 0 then -1 else n - 1 - msb x
+
 let common_prefix_length a b =
   let n = min a.len b.len in
-  let rec go i =
-    if i >= n then n
-    else if bit a i <> bit b i then i
-    else go (i + 1)
-  in
-  go 0
+  let d = first_difference n ((a.bits lsr (a.len - n)) lxor (b.bits lsr (b.len - n))) in
+  if d < 0 then n else d
+
+let divergence p k =
+  first_difference p.len ((Key.to_int k lsr (Key.bits - p.len)) lxor p.bits)
 
 let matches_key p k = p.len = 0 || Key.to_int k lsr (Key.bits - p.len) = p.bits
 
@@ -53,15 +66,10 @@ let key_prefix_code k n =
   if n < 0 || n > Key.bits then invalid_arg "Path.key_prefix_code: bad length";
   (1 lsl n) lor (Key.to_int k lsr (Key.bits - n))
 
-(* Position of the sentinel bit, by binary search over the 62 value bits. *)
+(* The sentinel is the highest set bit. *)
 let code_length c =
   if c < 1 then invalid_arg "Path.code_length: not a path code";
-  let rec go c lo width =
-    if width = 0 then lo
-    else if c lsr width <> 0 then go (c lsr width) (lo + width) (width / 2)
-    else go c lo (width / 2)
-  in
-  go c 0 32
+  msb c
 
 let interval_keys p =
   let shift = Key.bits - p.len in

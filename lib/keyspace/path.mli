@@ -39,8 +39,14 @@ val complement_at : t -> int -> t
     (every path is a prefix of itself). *)
 val is_prefix_of : prefix:t -> t -> bool
 
-(** [common_prefix_length a b] is the length of the longest shared prefix. *)
+(** [common_prefix_length a b] is the length of the longest shared
+    prefix.  O(1): an xor and a highest-set-bit search. *)
 val common_prefix_length : t -> t -> int
+
+(** [divergence p k] is the first level at which [p] disagrees with key
+    [k], or [-1] when [p] is a prefix of [k] ({!matches_key}).  O(1) and
+    allocation-free, like {!common_prefix_length}. *)
+val divergence : t -> Key.t -> int
 
 (** [matches_key p k] tests whether key [k] lies in partition [p], i.e. [p]
     is a prefix of [k]'s binary expansion. *)

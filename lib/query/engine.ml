@@ -67,11 +67,10 @@ let lookup ?(telemetry = Pgrid_telemetry.Global.get ()) ?cache overlay ~from key
   let rec go cur hops stale =
     if hops > Overlay.max_hops then fail hops stale
     else
-      match Overlay.divergence_level cur.Node.path key with
-      | None ->
+      if Overlay.divergence_level cur.Node.path key < 0 then
         finish ~target:cur.Node.id ~hops ~stale ~served:Network
           ~present:(Node.has_key cur key) ~payloads:(Node.lookup cur key)
-      | Some _ -> (
+      else (
         match cache with
         | None -> step cur hops stale
         | Some c -> (
@@ -156,8 +155,7 @@ let lookup_many ?cache overlay ~from keys =
         List.filter
           (fun i ->
             let k = keys.(i) in
-            match Overlay.divergence_level cur.Node.path k with
-            | None ->
+            if Overlay.divergence_level cur.Node.path k < 0 then begin
               let present = Node.has_key cur k in
               (match cache with
               | None -> ()
@@ -169,7 +167,8 @@ let lookup_many ?cache overlay ~from keys =
                   trail);
               resolve i ~target:cur.Node.id ~depth ~served:Network ~present;
               false
-            | Some _ -> (
+            end
+            else (
               match cache with
               | None -> true
               | Some c -> (
@@ -189,11 +188,11 @@ let lookup_many ?cache overlay ~from keys =
         let buckets = Hashtbl.create 8 in
         List.iter
           (fun i ->
-            match Overlay.divergence_level cur.Node.path keys.(i) with
-            | None -> ()
-            | Some l ->
+            let l = Overlay.divergence_level cur.Node.path keys.(i) in
+            if l >= 0 then begin
               let prev = Option.value ~default:[] (Hashtbl.find_opt buckets l) in
-              Hashtbl.replace buckets l (i :: prev))
+              Hashtbl.replace buckets l (i :: prev)
+            end)
           remaining;
         let levels = List.sort compare (Hashtbl.fold (fun l _ acc -> l :: acc) buckets []) in
         List.iter

@@ -19,15 +19,8 @@ type batch_stats = {
 }
 
 let random_online_node rng overlay =
-  let n = Overlay.size overlay in
-  let rec try_ attempts =
-    if attempts = 0 then None
-    else begin
-      let i = Rng.int rng n in
-      if (Overlay.node overlay i).Node.online then Some i else try_ (attempts - 1)
-    end
-  in
-  try_ (4 * n)
+  let i = Overlay.random_online overlay rng ~excluding:(-1) in
+  if i < 0 then None else Some i
 
 (* Synchronous batches have no transport delay of their own; [now] lets
    a daemon-driven caller thread its sim clock through so emitted

@@ -146,15 +146,17 @@ let rec route t q cur budget =
   if budget = 0 then finish t q false
   else
     let node = Overlay.node t.overlay cur in
-    match Overlay.divergence_level node.Node.path q.key with
-    | None ->
+    let level = Overlay.divergence_level node.Node.path q.key in
+    if level < 0 then begin
       (* Responsible peer reached; the response flows back. *)
       Net.account ~src:cur ~dst:q.origin t.net ~bytes:t.cfg.header_bytes ~kind:Net.Query;
       finish t q true
-    | Some level ->
+    end
+    else begin
       let refs = Node.refs_array node ~level in
       Rng.shuffle t.rng refs;
       try_refs t q cur budget refs 0
+    end
 
 (* Start a hop at the first admitted reference of [refs.(i ..)]. *)
 and try_refs t q cur budget refs i =
@@ -339,18 +341,12 @@ let issue t ~origin ~key =
   route t { qid; origin; key; issued_at; hops = 0 } origin (4 * Key.bits)
 
 let issue_random t ~key =
-  let n = Overlay.size t.overlay in
-  let rec pick attempts =
-    if attempts = 0 then None
-    else
-      let i = Rng.int t.rng n in
-      if (Overlay.node t.overlay i).Node.online then Some i else pick (attempts - 1)
-  in
-  match pick (4 * n) with
-  | None -> false
-  | Some origin ->
+  let origin = Overlay.random_online t.overlay t.rng ~excluding:(-1) in
+  if origin < 0 then false
+  else begin
     issue t ~origin ~key;
     true
+  end
 
 let heartbeat t ~src ~dst =
   Net.send t.net ~src ~dst ~bytes:t.cfg.header_bytes ~kind:Net.Maintenance Heartbeat

@@ -146,7 +146,7 @@ let test_skips_partitions_with_offline_members () =
     let p = Path.to_string (Overlay.node overlay i).Node.path in
     if not (Hashtbl.mem seen p) then begin
       Hashtbl.add seen p ();
-      (Overlay.node overlay i).Node.online <- false
+      Node.set_online (Overlay.node overlay i) false
     end
   done;
   let before = census_paths overlay in

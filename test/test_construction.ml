@@ -240,6 +240,55 @@ let test_merge_overlays () =
   checkb "merged overlay routes" true (s.Pgrid_query.Query.routed > 190);
   checkb "deviation sane" true (m.Pgrid_construction.Merge.deviation < 1.2)
 
+(* The shared offline count stays exact under random liveness writes
+   (same-value rewrites included), peer additions and merges. *)
+let qcheck_liveness_exact =
+  QCheck.Test.make ~name:"offline count stays exact" ~count:40 QCheck.small_signed_int
+    (fun seed ->
+      let rng = Rng.create ~seed in
+      let params = Round.default_params ~peers:16 in
+      let config =
+        {
+          Pgrid_construction.Engine.n_min = params.Round.n_min;
+          d_max = params.Round.d_max;
+          max_fruitless = params.Round.max_fruitless;
+          refer_hops = params.Round.refer_hops;
+          mode = Pgrid_construction.Engine.Theory;
+        }
+      in
+      let fresh () = Overlay.create rng ~n:(2 + Rng.int rng 8) in
+      let recount o =
+        let c = ref 0 in
+        Overlay.iter o (fun n -> if not n.Node.online then incr c);
+        !c
+      in
+      let exact o =
+        Overlay.offline_count o = recount o
+        && Overlay.online_count o = Overlay.size o - recount o
+      in
+      let flip o =
+        let n = Overlay.node o (Rng.int rng (Overlay.size o)) in
+        Node.set_online n (if Rng.bool rng then n.Node.online else Rng.bool rng)
+      in
+      let a = ref (fresh ()) and b = ref (fresh ()) and ok = ref true in
+      for _ = 1 to 60 do
+        (match Rng.int rng 6 with
+        | 0 | 1 -> flip !a
+        | 2 -> flip !b
+        | 3 ->
+          let n = Overlay.add_peer !a in
+          if Rng.bool rng then Node.set_online n false
+        | 4 -> ignore (Overlay.add_peer !b)
+        | _ ->
+          let offline = recount !a + recount !b in
+          let m = Pgrid_construction.Merge.overlays rng ~config ~max_rounds:2 !a !b in
+          a := m.Pgrid_construction.Merge.overlay;
+          b := fresh ();
+          if Overlay.offline_count !a <> offline then ok := false);
+        if not (exact !a && exact !b && Overlay.integrity_errors !b = 0) then ok := false
+      done;
+      !ok)
+
 (* --- Net engine -------------------------------------------------------------- *)
 
 let fast_phases =
@@ -411,6 +460,7 @@ let suite =
     Alcotest.test_case "sequential preserves data" `Quick test_sequential_no_data_loss;
     Alcotest.test_case "sequential latency growth" `Quick test_sequential_latency_grows_linearly;
     Alcotest.test_case "merge overlays" `Quick test_merge_overlays;
+    QCheck_alcotest.to_alcotest qcheck_liveness_exact;
     Alcotest.test_case "net queries succeed" `Quick test_net_queries_succeed;
     Alcotest.test_case "net population series" `Quick test_net_population_series;
     Alcotest.test_case "net bandwidth shape" `Quick test_net_bandwidth_shape;

@@ -107,7 +107,7 @@ let test_search_hop_bound () =
 
 let test_search_from_offline () =
   let overlay, _, keys = build 5 in
-  (Overlay.node overlay 0).Node.online <- false;
+  Node.set_online (Overlay.node overlay 0) false;
   let r = Overlay.search overlay ~from:0 keys.(0) in
   checkb "offline origin fails" true (r.Overlay.responsible = None);
   checki "no hops" 0 r.Overlay.hops
@@ -118,7 +118,7 @@ let test_search_avoids_offline_refs () =
      succeed thanks to redundant references. *)
   let rng = Rng.create ~seed:66 in
   for i = 0 to Overlay.size overlay - 1 do
-    if Rng.float rng < 0.2 then (Overlay.node overlay i).Node.online <- false
+    if Rng.float rng < 0.2 then Node.set_online (Overlay.node overlay i) false
   done;
   let ok = ref 0 and total = ref 0 in
   Array.iteri
@@ -206,7 +206,7 @@ let test_anti_entropy_skips_offline () =
   Node.insert a (key 0.1) "x";
   Node.insert b (key 0.2) "y";
   Node.insert c (key 0.3) "z";
-  c.Node.online <- false;
+  Node.set_online c false;
   checki "only the online pair reconciles" 2 (Overlay.anti_entropy overlay);
   checki "offline store untouched" 1 (Node.key_count c);
   checkb "offline keys stay unshared" true (not (Node.has_key a (key 0.3)))
@@ -218,7 +218,7 @@ let test_anti_entropy_singleton () =
   Node.set_path a (Path.of_string "0");
   Node.set_path b (Path.of_string "0");
   Node.insert a (key 0.1) "x";
-  b.Node.online <- false;
+  Node.set_online b false;
   (* A's replica group has one online member: no partner, no copies. *)
   checki "singleton group is a no-op" 0 (Overlay.anti_entropy overlay)
 
@@ -242,7 +242,7 @@ let test_anti_entropy_pair_budget () =
   checki "different paths never exchange" 0
     (Overlay.anti_entropy_pair overlay ~a:0 ~b:2 ~budget:10);
   checki "self-exchange is a no-op" 0 (Overlay.anti_entropy_pair overlay ~a:0 ~b:0 ~budget:10);
-  b.Node.online <- false;
+  Node.set_online b false;
   checki "offline partner is a no-op" 0 (Overlay.anti_entropy_pair overlay ~a:0 ~b:1 ~budget:10);
   Alcotest.check_raises "negative budget rejected"
     (Invalid_argument "Overlay.anti_entropy_pair: negative budget") (fun () ->
@@ -403,6 +403,87 @@ let qcheck_builder_integrity =
              | None -> false)
            keys)
 
+(* --- the routing draw ----------------------------------------------------- *)
+
+module Intset = Pgrid_core.Intset
+
+(* The count-then-scan draw [Overlay.pick] replaced, kept as the model. *)
+let pick_by_scan ~admit overlay rng ~src set ~excluding =
+  let usable id = id <> excluding && (Overlay.node overlay id).Node.online && admit src id in
+  let count = Intset.fold (fun acc id -> if usable id then acc + 1 else acc) 0 set in
+  if count = 0 then -1
+  else begin
+    let target = Rng.int rng count in
+    let seen = ref 0 and chosen = ref (-1) in
+    Intset.iter
+      (fun id ->
+        if usable id then begin
+          if !seen = target then chosen := id;
+          incr seen
+        end)
+      set;
+    !chosen
+  end
+
+(* Sets of 0..300 of 400 peers, no or random offline members,
+   [excluding] a member, a non-member or nobody, and the default or a
+   custom pure [admit]: [pick] and [pick_ref] choose the model's peer
+   and leave the generator where the model leaves it. *)
+let qcheck_pick_matches_scan =
+  QCheck.Test.make ~name:"pick_ref matches the count-then-scan draw" ~count:300
+    QCheck.(pair small_signed_int (int_bound 300))
+    (fun (seed, size) ->
+      let rng = Rng.create ~seed in
+      let peers = 400 in
+      let overlay = Overlay.create rng ~n:peers in
+      let src = peers - 1 in
+      let members = Rng.sample_without_replacement rng ~k:size ~n:(peers - 1) in
+      let set = Intset.of_list (Array.to_list members) in
+      if Rng.bool rng then begin
+        let rate = Rng.float rng in
+        for i = 0 to peers - 1 do
+          if Rng.float rng < rate then Node.set_online (Overlay.node overlay i) false
+        done
+      end;
+      let excluding =
+        match Rng.int rng 3 with
+        | 0 when size > 0 -> members.(Rng.int rng size)
+        | 1 -> Rng.int rng peers
+        | _ -> -1
+      in
+      let admit = if Rng.bool rng then None else Some (fun s d -> (s + (7 * d)) mod 5 <> 0) in
+      let model = Option.value admit ~default:(fun _ _ -> true) in
+      let node = Overlay.node overlay src in
+      Node.set_refs node ~level:3 (Array.to_list members);
+      let same draw =
+        let a = Rng.copy rng and b = Rng.copy rng in
+        let got = draw a and want = pick_by_scan ~admit:model overlay b ~src set ~excluding in
+        got = want && Rng.bits64 a = Rng.bits64 b
+      in
+      same (fun r -> Overlay.pick ?admit overlay r ~src set ~excluding)
+      && same (fun r -> Overlay.pick_ref ?admit overlay r node ~level:3 ~excluding))
+
+(* With every peer online and the default [admit], a draw reads no node
+   record and allocates nothing. *)
+let test_pick_ref_allocates_nothing () =
+  if Sys.backend_type = Sys.Native then begin
+    let rng = Rng.create ~seed:5 in
+    let overlay = Overlay.create rng ~n:200 in
+    let node = Overlay.node overlay 0 in
+    for id = 1 to 199 do
+      Node.add_ref node ~level:2 id
+    done;
+    let hits = ref 0 in
+    let w =
+      Test_util.minor_words_of (fun () ->
+          for _ = 1 to 10_000 do
+            if Overlay.pick_ref overlay rng node ~level:2 ~excluding:50 >= 0 then incr hits
+          done)
+    in
+    checki "every draw found a peer" 10_000 !hits;
+    Alcotest.(check (float 0.)) "minor words over 10000 draws" 0. w
+  end
+
 let suite =
   [
     Alcotest.test_case "node store" `Quick test_node_store;
@@ -430,6 +511,8 @@ let suite =
     Alcotest.test_case "integrity: empty complement" `Quick test_integrity_empty_complement_ok;
     Alcotest.test_case "trie view" `Quick test_trie_view;
     Alcotest.test_case "overlay arena growth" `Quick test_overlay_arena_growth;
+    Alcotest.test_case "pick_ref allocates nothing" `Quick test_pick_ref_allocates_nothing;
+    QCheck_alcotest.to_alcotest qcheck_pick_matches_scan;
     QCheck_alcotest.to_alcotest qcheck_zero_counter;
     QCheck_alcotest.to_alcotest qcheck_builder_integrity;
   ]

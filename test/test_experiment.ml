@@ -230,6 +230,7 @@ let gate_cases =
     zero_audit "smoke/storm/mismatch";
     ("smoke/storm/splits > 0", [ ("smoke/storm/splits", 5., 0.) ]);
     zero_audit "smoke/batch/unresolved";
+    zero_audit "route-pick/minor_words";
   ]
   @ List.concat_map
       (fun sev ->

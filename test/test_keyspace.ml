@@ -98,6 +98,47 @@ let test_path_common_prefix () =
   checki "disjoint at root" 0
     (Path.common_prefix_length (Path.of_string "1") (Path.of_string "0"))
 
+(* Bit-by-bit references for the xor-and-highest-bit forms. *)
+let divergence_by_bits p k =
+  let rec go l =
+    if l >= Path.length p then -1 else if Path.bit p l <> Key.bit k l then l else go (l + 1)
+  in
+  go 0
+
+let common_prefix_by_bits a b =
+  let n = min (Path.length a) (Path.length b) in
+  let rec go i = if i >= n then n else if Path.bit a i <> Path.bit b i then i else go (i + 1) in
+  go 0
+
+(* Paths of every length 0..60 cut from a 60-bit value; keys are 0,
+   2^60 - 1, uniform, the path's own value, or that value with one bit
+   flipped, so prefixes, deep divergences and both extremes all occur. *)
+let gen_path_key =
+  let open QCheck.Gen in
+  let top = (1 lsl Key.bits) - 1 in
+  let half = int_bound ((1 lsl 30) - 1) in
+  let value = map2 (fun hi lo -> (hi lsl 30) lor lo) half half in
+  let extreme = oneofl [ 0; top ] in
+  int_range 0 Key.bits >>= fun len ->
+  oneof [ value; extreme ] >>= fun v ->
+  int_bound (Key.bits - 1) >>= fun flip ->
+  oneof [ return 0; return top; value; return v; return (v lxor (1 lsl flip)) ] >>= fun k ->
+  oneof [ value; extreme; return k ] >>= fun w ->
+  int_range 0 Key.bits >|= fun len' ->
+  (Path.key_prefix (Key.of_int v) len, Key.of_int k, Path.key_prefix (Key.of_int w) len')
+
+let qcheck_divergence =
+  QCheck.Test.make ~name:"divergence and common prefix match the bitwise reference" ~count:2000
+    (QCheck.make
+       ~print:(fun (p, k, q) ->
+         Printf.sprintf "%s %s %s" (Path.to_string p) (Key.to_string k) (Path.to_string q))
+       gen_path_key)
+    (fun (p, k, q) ->
+      Path.divergence p k = divergence_by_bits p k
+      && (Path.divergence p k < 0) = Path.matches_key p k
+      && Path.common_prefix_length p q = common_prefix_by_bits p q
+      && Path.common_prefix_length q p = common_prefix_by_bits p q)
+
 let test_path_interval () =
   let p = Path.of_string "10" in
   let lo, hi = Path.interval p in
@@ -261,6 +302,7 @@ let suite =
     Alcotest.test_case "path complement_at" `Quick test_path_complement_at;
     Alcotest.test_case "path prefix relation" `Quick test_path_prefix_relation;
     Alcotest.test_case "path common prefix" `Quick test_path_common_prefix;
+    QCheck_alcotest.to_alcotest qcheck_divergence;
     Alcotest.test_case "path interval" `Quick test_path_interval;
     Alcotest.test_case "path midpoint" `Quick test_path_mid;
     Alcotest.test_case "path overlap fraction" `Quick test_path_overlap_fraction;

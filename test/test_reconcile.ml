@@ -78,11 +78,11 @@ let resurrection_fixture seed =
   | Some _ -> ());
   let holders = holders_of overlay key in
   let stale = List.nth holders (List.length holders - 1) in
-  (Overlay.node overlay stale).Node.online <- false;
+  Node.set_online (Overlay.node overlay stale) false;
   (match Overlay.delete ~stamp:20. overlay ~from:0 key with
   | None -> Alcotest.fail "delete failed to route"
   | Some _ -> ());
-  (Overlay.node overlay stale).Node.online <- true;
+  Node.set_online (Overlay.node overlay stale) true;
   checkb "stale replica kept its copy" true
     (Keytbl.mem (Overlay.node overlay stale).Node.store key);
   let live = List.filter (fun i -> i <> stale) holders in
